@@ -118,9 +118,9 @@ int main() {
          static_cast<unsigned long long>(new_orders.load()));
   printf("peak iterator buffer: %zu entries (chunked streaming, not materialized)\n",
          max_buffered);
-  printf("scan machinery: %llu iterators, %llu master, %llu piggybacked, %llu restarts, "
+  printf("scan machinery: %llu scans, %llu master, %llu piggybacked, %llu restarts, "
          "%llu fallbacks\n",
-         static_cast<unsigned long long>(stats.iterator_scans),
+         static_cast<unsigned long long>(stats.scans),
          static_cast<unsigned long long>(stats.master_scans),
          static_cast<unsigned long long>(stats.piggyback_scans),
          static_cast<unsigned long long>(stats.scan_restarts),

@@ -157,10 +157,10 @@ int main() {
   printf("  membuffer absorbed %.1f%% of writes\n",
          100.0 * static_cast<double>(stats.membuffer_adds) /
              static_cast<double>(stats.membuffer_adds + stats.memtable_direct_adds));
-  // Merged scans surface as one per-shard iterator stream per consulted
-  // shard (DESIGN.md §8 stats accounting).
-  printf("  per-shard scan streams=%llu (restarts=%llu, fallbacks=%llu)\n",
-         static_cast<unsigned long long>(stats.iterator_scans),
+  // A merged scan counts once per consulted shard (DESIGN.md §8 stats
+  // accounting).
+  printf("  per-shard scans=%llu (restarts=%llu, fallbacks=%llu)\n",
+         static_cast<unsigned long long>(stats.scans),
          static_cast<unsigned long long>(stats.scan_restarts),
          static_cast<unsigned long long>(stats.fallback_scans));
   for (int s = 0; s < db->NumShards(); ++s) {

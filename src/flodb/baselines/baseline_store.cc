@@ -338,25 +338,28 @@ Status BaselineStore::GetImpl(const ReadOptions& options, const Slice& key, std:
   return result;
 }
 
-Status BaselineStore::Scan(const ReadOptions& options, const Slice& low_key,
-                           const Slice& high_key, size_t limit,
-                           std::vector<std::pair<std::string, std::string>>* out) {
+std::unique_ptr<ScanIterator> BaselineStore::NewScanIterator(const ReadOptions& options,
+                                                             const Slice& low_key,
+                                                             const Slice& high_key) {
   if (options.fill_stats) {
     scans_.fetch_add(1, std::memory_order_relaxed);
   }
-  out->clear();
-  // Same conditional-lock split as Get/GetImpl.
-  if (options_.concurrency == Concurrency::kCLSM) {
-    ReaderMutexLock clsm_shared(clsm_mu_);
-    return ScanImpl(options, low_key, high_key, limit, out);
-  }
-  return ScanImpl(options, low_key, high_key, limit, out);
+  return std::make_unique<ChunkedScanIterator>(
+      low_key, options.scan_chunk_size,
+      [this, high = high_key.ToString()](const Slice& start, bool exclusive, size_t limit,
+                                         std::vector<ScanEntry>* out) {
+        // Same conditional-lock split as Get/GetImpl.
+        if (options_.concurrency == Concurrency::kCLSM) {
+          ReaderMutexLock clsm_shared(clsm_mu_);
+          return ScanImpl(start, exclusive, Slice(high), limit, out);
+        }
+        return ScanImpl(start, exclusive, Slice(high), limit, out);
+      });
 }
 
-Status BaselineStore::ScanImpl(const ReadOptions& options, const Slice& low_key,
-                               const Slice& high_key, size_t limit,
-                               std::vector<std::pair<std::string, std::string>>* out) {
-  (void)options;
+Status BaselineStore::ScanImpl(const Slice& start, bool exclusive_start, const Slice& high_key,
+                               size_t limit, std::vector<ScanEntry>* out) {
+  out->clear();
   const bool global_lock_reads = options_.concurrency == Concurrency::kLevelDB ||
                                  options_.concurrency == Concurrency::kHyperLevelDB;
   if (global_lock_reads) {
@@ -380,9 +383,11 @@ Status BaselineStore::ScanImpl(const ReadOptions& options, const Slice& low_key,
     }
     std::unique_ptr<Iterator> merged = NewMergingIterator(std::move(children));
 
-    std::string last_key;
-    bool has_last = false;
-    for (merged->Seek(low_key); merged->Valid(); merged->Next()) {
+    // Seeding the dedup state with an exclusive start skips every version
+    // of it.
+    std::string last_key = exclusive_start ? start.ToString() : std::string();
+    bool has_last = exclusive_start;
+    for (merged->Seek(start); merged->Valid(); merged->Next()) {
       if (!high_key.empty() && merged->key().compare(high_key) >= 0) {
         break;
       }
@@ -397,7 +402,7 @@ Status BaselineStore::ScanImpl(const ReadOptions& options, const Slice& low_key,
       if (merged->type() == ValueType::kTombstone) {
         continue;
       }
-      out->emplace_back(last_key, merged->value().ToString());
+      out->push_back(ScanEntry{last_key, merged->value().ToString(), merged->seq()});
       if (limit != 0 && out->size() >= limit) {
         break;
       }
@@ -408,17 +413,6 @@ Status BaselineStore::ScanImpl(const ReadOptions& options, const Slice& low_key,
     MutexLock db(db_mu_);
   }
   return Status::OK();
-}
-
-std::unique_ptr<ScanIterator> BaselineStore::NewScanIterator(const ReadOptions& options,
-                                                             const Slice& low_key,
-                                                             const Slice& high_key) {
-  if (options.fill_stats) {
-    iterator_scans_.fetch_add(1, std::memory_order_relaxed);
-  }
-  // The generic chunked cursor over Scan() — each chunk is a snapshot of
-  // its own, fetched resuming after the last returned key.
-  return KVStore::NewScanIterator(options, low_key, high_key);
 }
 
 void BaselineStore::FlushLoop() {
@@ -486,7 +480,6 @@ StoreStats BaselineStore::GetStats() const {
   stats.scans = scans_.load(std::memory_order_relaxed);
   stats.batch_writes = batch_writes_.load(std::memory_order_relaxed);
   stats.batch_entries = batch_entries_.load(std::memory_order_relaxed);
-  stats.iterator_scans = iterator_scans_.load(std::memory_order_relaxed);
   if (disk_ != nullptr) {
     stats.disk = disk_->GetStats();
   }

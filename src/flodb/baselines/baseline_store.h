@@ -79,7 +79,6 @@ class BaselineStore final : public KVStore {
   BaselineStore& operator=(const BaselineStore&) = delete;
 
   using KVStore::Get;
-  using KVStore::Scan;
 
   // v2 surface. A batch funnels through the store's own write protocol
   // entry by entry (the single-writer designs still group concurrent
@@ -89,11 +88,11 @@ class BaselineStore final : public KVStore {
   Status Write(const WriteOptions& options, WriteBatch* batch) override;
   Status Get(const ReadOptions& options, const Slice& key, std::string* value) override
       EXCLUDES(clsm_mu_);
-  Status Scan(const ReadOptions& options, const Slice& low_key, const Slice& high_key,
-              size_t limit, std::vector<std::pair<std::string, std::string>>* out) override
-      EXCLUDES(clsm_mu_);
+  // Each chunk is a snapshot of its own, taken at fetch time; the first is
+  // fetched before this returns.
   std::unique_ptr<ScanIterator> NewScanIterator(const ReadOptions& options, const Slice& low_key,
-                                                const Slice& high_key) override;
+                                                const Slice& high_key) override
+      EXCLUDES(clsm_mu_);
   Status FlushAll() override;
   StoreStats GetStats() const override;
   std::string Name() const override { return options_.name; }
@@ -117,13 +116,14 @@ class BaselineStore final : public KVStore {
   Status WriteHyper(const Slice& key, const Slice& value, ValueType type) EXCLUDES(db_mu_);
   Status WriteClsm(const Slice& key, const Slice& value, ValueType type) EXCLUDES(clsm_mu_);
 
-  // The bodies of Get/Scan minus the cLSM shared lock, so the lock can be
-  // taken (or not) in a scope the analysis can follow.
+  // The bodies of Get and of one scan chunk minus the cLSM shared lock,
+  // so the lock can be taken (or not) in a scope the analysis can follow.
   Status GetImpl(const ReadOptions& options, const Slice& key, std::string* value)
       EXCLUDES(db_mu_);
-  Status ScanImpl(const ReadOptions& options, const Slice& low_key, const Slice& high_key,
-                  size_t limit, std::vector<std::pair<std::string, std::string>>* out)
-      EXCLUDES(db_mu_);
+  // Up to `limit` (0 = all) live entries of [start, high_key) at one
+  // snapshot, skipping `start` itself when `exclusive_start`.
+  Status ScanImpl(const Slice& start, bool exclusive_start, const Slice& high_key, size_t limit,
+                  std::vector<ScanEntry>* out) EXCLUDES(db_mu_);
 
   // Blocks until the active memtable has room; swaps in a new one (and
   // hands the full one to the flush thread) when needed.
@@ -167,7 +167,7 @@ class BaselineStore final : public KVStore {
   std::atomic<bool> stop_{false};
 
   mutable std::atomic<uint64_t> puts_{0}, gets_{0}, deletes_{0}, scans_{0};
-  mutable std::atomic<uint64_t> batch_writes_{0}, batch_entries_{0}, iterator_scans_{0};
+  mutable std::atomic<uint64_t> batch_writes_{0}, batch_entries_{0};
 };
 
 }  // namespace flodb

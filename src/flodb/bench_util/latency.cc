@@ -5,17 +5,30 @@
 namespace flodb::bench {
 
 void LatencyRecorder::Merge(const LatencyRecorder& other) {
-  count_ += other.count_;
-  for (uint64_t sample : other.samples_) {
-    if (samples_.size() < capacity_) {
-      samples_.push_back(sample);
-    } else {
-      const uint64_t slot = rng_.Uniform(samples_.size() * 2);
-      if (slot < samples_.size()) {
-        samples_[slot] = sample;
-      }
-    }
+  // Each side's samples are a uniform sample of its stream, so each one
+  // stands for count / size stream entries. Draw up to capacity_ samples
+  // without replacement, picking a side in proportion to the stream
+  // entries its undrawn samples still stand for.
+  std::vector<uint64_t> pools[2] = {std::move(samples_), other.samples_};
+  const uint64_t counts[2] = {count_, other.count_};
+  double per_sample[2];
+  for (int side = 0; side < 2; ++side) {
+    per_sample[side] =
+        pools[side].empty() ? 0.0 : static_cast<double>(counts[side]) / pools[side].size();
   }
+  samples_.clear();
+  samples_.reserve(capacity_);
+  while (samples_.size() < capacity_ && !(pools[0].empty() && pools[1].empty())) {
+    const double weight0 = per_sample[0] * pools[0].size();
+    const double weight1 = per_sample[1] * pools[1].size();
+    std::vector<uint64_t>& pool =
+        rng_.NextDouble() * (weight0 + weight1) < weight0 ? pools[0] : pools[1];
+    const size_t i = rng_.Uniform(pool.size());
+    samples_.push_back(pool[i]);
+    pool[i] = pool.back();
+    pool.pop_back();
+  }
+  count_ += other.count_;
 }
 
 uint64_t LatencyRecorder::PercentileNanos(double p) {

@@ -778,7 +778,6 @@ StoreStats FloDB::GetStats() const {
   stats.batch_writes = batch_writes_.load(std::memory_order_relaxed);
   stats.batch_entries = batch_entries_.load(std::memory_order_relaxed);
   stats.wal_batch_records = wal_batch_records_.load(std::memory_order_relaxed);
-  stats.iterator_scans = iterator_scans_.load(std::memory_order_relaxed);
   stats.membuffer_adds = membuffer_adds_.load(std::memory_order_relaxed);
   stats.memtable_direct_adds = memtable_direct_adds_.load(std::memory_order_relaxed);
   stats.drained_entries = drained_entries_.load(std::memory_order_relaxed);

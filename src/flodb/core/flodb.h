@@ -10,7 +10,7 @@
 //                  Membuffer, take a scan seq, then iterate
 //                  MTB+IMM_MTB+DISK validating entry seqs; bounded
 //                  restarts, then a fallback pass. NewScanIterator
-//                  streams the same protocol in bounded chunks.
+//                  streams it in bounded chunks; Scan is one chunk.
 //   Draining    -> background threads move Membuffer entries into the
 //                  Memtable with skiplist multi-inserts.
 //   Persisting  -> background thread swaps a full Memtable via RCU and
@@ -51,7 +51,6 @@
 
 namespace flodb {
 
-class FloDBScanIterator;
 class ShardedKVStore;
 
 class FloDB final : public KVStore {
@@ -66,12 +65,9 @@ class FloDB final : public KVStore {
   // Default-options overloads from the base class stay visible next to
   // the explicit-options overrides below.
   using KVStore::Get;
-  using KVStore::Scan;
 
   Status Write(const WriteOptions& options, WriteBatch* batch) override;
   Status Get(const ReadOptions& options, const Slice& key, std::string* value) override;
-  Status Scan(const ReadOptions& options, const Slice& low_key, const Slice& high_key,
-              size_t limit, std::vector<std::pair<std::string, std::string>>* out) override;
   std::unique_ptr<ScanIterator> NewScanIterator(const ReadOptions& options, const Slice& low_key,
                                                 const Slice& high_key) override;
   Status FlushAll() override EXCLUDES(master_mu_);
@@ -102,7 +98,6 @@ class FloDB final : public KVStore {
   void WaitUntilDrained();
 
  private:
-  friend class FloDBScanIterator;
   // The router drives the shard-side half of cross-shard two-phase commit
   // (PrepareBatch / ApplyPreparedBatch / AbandonPrepare below).
   friend class ShardedKVStore;
@@ -114,14 +109,6 @@ class FloDB final : public KVStore {
     Slice key;
     Slice value;
     ValueType type;
-  };
-
-  // One collected scan result: the winning version's key, value and seq
-  // (threaded through to ScanIterator::seq()).
-  struct ScanEntry {
-    std::string key;
-    std::string value;
-    uint64_t seq = 0;
   };
 
   // ---- background machinery (flodb_background.cc) ----
@@ -174,6 +161,13 @@ class FloDB final : public KVStore {
   // unvalidated pass.
   Status FallbackPass(const Slice& start, const Slice& high_key, size_t limit,
                       bool exclusive_start, std::vector<ScanEntry>* out);
+  // One iterator chunk: validated passes under ticket->seq, restarting
+  // with a fresh seq on a violation and falling back after
+  // scan_restart_threshold restarts. Only the first chunk (the one
+  // starting inclusively at the low bound) runs while the ticket's slot
+  // is held, so only it may restart a master with a re-drain.
+  Status FetchChunk(ScanTicket* ticket, const Slice& start, bool exclusive,
+                    const Slice& high_key, size_t limit, std::vector<ScanEntry>* out);
 
   MemBuffer* NewMembuffer() const;
   // A Memtable wired (when value separation is on) to report in-place
@@ -378,7 +372,7 @@ class FloDB final : public KVStore {
   // Stats.
   mutable std::atomic<uint64_t> puts_{0}, gets_{0}, deletes_{0}, scans_{0};
   mutable std::atomic<uint64_t> batch_writes_{0}, batch_entries_{0};
-  mutable std::atomic<uint64_t> wal_batch_records_{0}, iterator_scans_{0};
+  mutable std::atomic<uint64_t> wal_batch_records_{0};
   mutable std::atomic<uint64_t> membuffer_adds_{0}, memtable_direct_adds_{0};
   mutable std::atomic<uint64_t> drained_entries_{0};
   mutable std::atomic<uint64_t> scan_restarts_{0}, fallback_scans_{0};

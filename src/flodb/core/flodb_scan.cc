@@ -1,4 +1,4 @@
-// FloDB scan protocol (Algorithm 3, §4.4) and the v2 streaming iterator.
+// FloDB scan protocol (Algorithm 3, §4.4) and its chunked iterator.
 //
 // Master scan: pause draining and Memtable writers, swap in a fresh
 // Membuffer, fully drain the old one (writers help), take a scan sequence
@@ -15,20 +15,16 @@
 // updates (linearization point: the Membuffer pointer swap); piggybacked
 // scans are serializable.
 //
-// Streaming iterators (NewScanIterator) run the same protocol in bounded
-// chunks: the election happens once at open (honoring the snapshot_mode
-// hint), each fetch collects up to scan_chunk_size live entries resuming
-// just past the last emitted key, and a seq violation restarts only the
-// current chunk with a fresh seq — serializable per chunk, never moving
-// backwards in time (DESIGN.md §4). Iterators release the master slot as
-// soon as their seq is established so a long-lived stream never blocks
-// other scans. The legacy vector Scan is a single-chunk iterator, which
-// preserves its original semantics exactly (including the re-drain on
-// master restarts, possible only before anything was emitted).
+// Every range read is a chunked iterator (NewScanIterator; Scan is one
+// chunk of it). The election happens once at open, honoring the
+// snapshot_mode hint, and the scan holds its master/piggyback slot
+// through its first chunk only. Each fetch collects up to
+// scan_chunk_size live entries resuming just past the last emitted key;
+// a seq violation restarts only the current chunk — with a full master
+// re-drain in the first chunk, a fresh seq afterwards. Serializable per
+// chunk, never moving backwards in time (DESIGN.md §4).
 
 #include "flodb/core/flodb.h"
-
-#include <algorithm>
 
 #include "flodb/core/memtable_iterator.h"
 #include "flodb/disk/merging_iterator.h"
@@ -199,151 +195,50 @@ void FloDB::EndScan(const ScanTicket& ticket) {
   scan_cv_.SignalAll();
 }
 
-// The streaming cursor over the master/piggyback machinery. One election
-// at construction; each FetchChunk is one validated pass resuming after
-// the last emitted key. `hold_ticket` keeps the election slot for the
-// cursor's lifetime — used by the legacy single-chunk Scan so concurrent
-// vector scans still piggyback on each other exactly as before.
-class FloDBScanIterator final : public ScanIterator {
- public:
-  FloDBScanIterator(FloDB* db, const ReadOptions& options, const Slice& low_key,
-                    const Slice& high_key, size_t chunk_capacity, bool hold_ticket)
-      : db_(db),
-        low_(low_key.ToString()),
-        high_(high_key.ToString()),
-        chunk_capacity_(chunk_capacity),
-        ticket_(db->BeginScan(options.snapshot_mode)),
-        holding_(hold_ticket) {
-    if (!hold_ticket) {
-      // Streaming iterators release the election slot once their seq is
-      // established, so a long-lived cursor never blocks other scans;
-      // restarts then always take the piggyback form.
-      db_->EndScan(ticket_);
+Status FloDB::FetchChunk(ScanTicket* ticket, const Slice& start, bool exclusive,
+                        const Slice& high_key, size_t limit, std::vector<ScanEntry>* out) {
+  Status pass_error;
+  for (int restarts = 0;;) {
+    if (ScanPass(start, high_key, limit, ticket->seq, /*validate=*/true, exclusive, out,
+                 &pass_error)) {
+      // A vlog resolution failure cuts the stream here with the error;
+      // restarting cannot fix an unreadable target.
+      return pass_error;
     }
-    FetchChunk();
-  }
-
-  ~FloDBScanIterator() override {
-    if (holding_) {
-      db_->EndScan(ticket_);
+    scan_restarts_.fetch_add(1, std::memory_order_relaxed);
+    if (++restarts >= options_.scan_restart_threshold) {
+      return FallbackPass(start, high_key, limit, exclusive, out);
+    }
+    if (ticket->is_master && !exclusive) {
+      // First chunk, slot held, nothing emitted: a full master restart
+      // (re-drain + fresh seq) re-establishes linearizability.
+      EstablishMasterSeq(&ticket->seq);
+    } else {
+      // Piggyback restart: fresh seq, no re-drain (§4.4). The snapshot
+      // advances for the remaining range only.
+      ticket->seq = FreshScanSeq();
     }
   }
-
-  FloDBScanIterator(const FloDBScanIterator&) = delete;
-  FloDBScanIterator& operator=(const FloDBScanIterator&) = delete;
-
-  bool Valid() const override { return pos_ < chunk_.size(); }
-
-  void Next() override {
-    ++pos_;
-    if (pos_ >= chunk_.size() && !finished_) {
-      FetchChunk();
-    }
-  }
-
-  Slice key() const override { return Slice(chunk_[pos_].key); }
-  Slice value() const override { return Slice(chunk_[pos_].value); }
-  uint64_t seq() const override { return chunk_[pos_].seq; }
-  Status status() const override { return status_; }
-  size_t MaxBufferedEntries() const override { return max_buffered_; }
-
-  // Legacy Scan support: hands the (single) buffered chunk to the caller.
-  void TakeChunk(std::vector<std::pair<std::string, std::string>>* out) {
-    out->clear();
-    out->reserve(chunk_.size());
-    for (FloDB::ScanEntry& e : chunk_) {
-      out->emplace_back(std::move(e.key), std::move(e.value));
-    }
-    chunk_.clear();
-    pos_ = 0;
-    finished_ = true;
-  }
-
- private:
-  void FetchChunk() {
-    chunk_.clear();
-    pos_ = 0;
-    const Slice start = has_resume_ ? Slice(resume_key_) : Slice(low_);
-    int restarts = 0;
-    Status pass_error;
-    while (true) {
-      if (db_->ScanPass(start, Slice(high_), chunk_capacity_, ticket_.seq, /*validate=*/true,
-                        has_resume_, &chunk_, &pass_error)) {
-        if (!pass_error.ok()) {
-          // A vlog resolution failed mid-pass: cut the stream here with
-          // the error; restarting cannot fix an unreadable target.
-          chunk_.clear();
-          status_ = pass_error;
-          finished_ = true;
-        }
-        break;
-      }
-      db_->scan_restarts_.fetch_add(1, std::memory_order_relaxed);
-      if (++restarts >= db_->options_.scan_restart_threshold) {
-        status_ = db_->FallbackPass(start, Slice(high_), chunk_capacity_, has_resume_, &chunk_);
-        break;
-      }
-      if (holding_ && ticket_.is_master && !emitted_any_) {
-        // Nothing handed out yet: a full master restart (re-drain + fresh
-        // seq) re-establishes linearizability — the legacy behavior.
-        db_->EstablishMasterSeq(&ticket_.seq);
-      } else {
-        // Piggyback restart: fresh seq, no re-drain (§4.4). The snapshot
-        // advances for the remaining range only.
-        ticket_.seq = db_->FreshScanSeq();
-      }
-    }
-    max_buffered_ = std::max(max_buffered_, chunk_.size());
-    if (chunk_capacity_ == 0 || chunk_.size() < chunk_capacity_) {
-      finished_ = true;  // range exhausted (or whole-range mode)
-    }
-    if (!chunk_.empty()) {
-      emitted_any_ = true;
-      resume_key_ = chunk_.back().key;
-      has_resume_ = true;
-    }
-  }
-
-  FloDB* const db_;
-  const std::string low_;
-  const std::string high_;
-  const size_t chunk_capacity_;  // 0 = whole range in one chunk
-
-  FloDB::ScanTicket ticket_;
-  const bool holding_;
-
-  std::vector<FloDB::ScanEntry> chunk_;
-  size_t pos_ = 0;
-  std::string resume_key_;
-  bool has_resume_ = false;
-  bool emitted_any_ = false;
-  bool finished_ = false;
-  size_t max_buffered_ = 0;
-  Status status_;
-};
-
-Status FloDB::Scan(const ReadOptions& options, const Slice& low_key, const Slice& high_key,
-                   size_t limit, std::vector<std::pair<std::string, std::string>>* out) {
-  if (options.fill_stats) {
-    scans_.fetch_add(1, std::memory_order_relaxed);
-  }
-  // A single-chunk iterator sized by `limit` (0 = whole range): the whole
-  // result comes from one validated pass, so the original restart and
-  // piggyback semantics are preserved verbatim.
-  FloDBScanIterator iter(this, options, low_key, high_key, /*chunk_capacity=*/limit,
-                         /*hold_ticket=*/true);
-  iter.TakeChunk(out);
-  return iter.status();
 }
 
 std::unique_ptr<ScanIterator> FloDB::NewScanIterator(const ReadOptions& options,
                                                      const Slice& low_key,
                                                      const Slice& high_key) {
   if (options.fill_stats) {
-    iterator_scans_.fetch_add(1, std::memory_order_relaxed);
+    scans_.fetch_add(1, std::memory_order_relaxed);
   }
-  return std::make_unique<FloDBScanIterator>(this, options, low_key, high_key,
-                                             options.scan_chunk_size, /*hold_ticket=*/false);
+  ScanTicket ticket = BeginScan(options.snapshot_mode);
+  auto iter = std::make_unique<ChunkedScanIterator>(
+      low_key, options.scan_chunk_size,
+      [this, ticket, high = high_key.ToString()](const Slice& start, bool exclusive, size_t limit,
+                                                 std::vector<ScanEntry>* out) mutable {
+        return FetchChunk(&ticket, start, exclusive, Slice(high), limit, out);
+      });
+  // The first chunk was fetched inside the constructor, under the slot:
+  // concurrent Scans (one chunk each) piggyback on each other, while a
+  // long-lived cursor never blocks other scans.
+  EndScan(ticket);
+  return iter;
 }
 
 }  // namespace flodb

@@ -1,5 +1,6 @@
-// KVStore convenience layer: one-entry-batch Put/Delete wrappers and the
-// generic chunked ScanIterator that any implementation inherits.
+// KVStore convenience layer: one-entry-batch Put/Delete wrappers, the
+// one-chunk Scan over NewScanIterator, and the chunk-buffering cursor
+// every store's NewScanIterator returns.
 
 #include "flodb/core/kv_store.h"
 
@@ -7,100 +8,50 @@
 
 namespace flodb {
 
-namespace {
+ChunkedScanIterator::ChunkedScanIterator(const Slice& low_key, size_t chunk_size, Fetch fetch)
+    : chunk_size_(chunk_size), fetch_(std::move(fetch)), resume_key_(low_key.ToString()) {
+  FetchChunk(/*exclusive=*/false);
+}
 
-// Streams a range by fetching bounded chunks through the store's
-// materializing Scan. Each fetch resumes AT the last returned key
-// (inclusive, asking for one extra entry) and drops the overlap — a
-// store-agnostic exclusive-bound emulation that needs no successor-key
-// (k + '\0') construction. Each chunk is its own snapshot, taken at
-// fetch time — serializable per chunk, never moving backwards
-// (DESIGN.md §4).
-class ChunkedScanIterator final : public ScanIterator {
- public:
-  ChunkedScanIterator(KVStore* store, const ReadOptions& options, const Slice& low_key,
-                      const Slice& high_key)
-      : store_(store),
-        options_(options),
-        high_(high_key.ToString()),
-        low_(low_key.ToString()),
-        chunk_capacity_(options.scan_chunk_size) {
-    // Inner fetches are bookkeeping reads; the iterator itself was the
-    // user-visible operation.
-    options_.fill_stats = false;
-    Fetch();
+void ChunkedScanIterator::Next() {
+  ++pos_;
+  if (pos_ >= chunk_.size() && !finished_) {
+    FetchChunk(/*exclusive=*/true);
   }
+}
 
-  bool Valid() const override { return pos_ < chunk_.size(); }
-
-  void Next() override {
-    ++pos_;
-    if (pos_ >= chunk_.size() && !done_) {
-      Fetch();
-    }
-  }
-
-  Slice key() const override { return Slice(chunk_[pos_].first); }
-  Slice value() const override { return Slice(chunk_[pos_].second); }
-  Status status() const override { return status_; }
-  size_t MaxBufferedEntries() const override { return max_buffered_; }
-
- private:
-  void Fetch() {
+void ChunkedScanIterator::FetchChunk(bool exclusive) {
+  chunk_.clear();
+  pos_ = 0;
+  status_ = fetch_(Slice(resume_key_), exclusive, chunk_size_, &chunk_);
+  if (!status_.ok()) {
     chunk_.clear();
-    pos_ = 0;
-    if (done_) {
-      return;
-    }
-    // +1 entry when resuming: the inclusive low bound re-fetches the last
-    // emitted key (unless it was deleted meanwhile), which we drop below.
-    const size_t want =
-        chunk_capacity_ == 0 ? 0 : chunk_capacity_ + (has_resume_ ? 1 : 0);
-    status_ = store_->Scan(options_, Slice(has_resume_ ? resume_key_ : low_), Slice(high_),
-                           want, &chunk_);
-    if (!status_.ok()) {
-      chunk_.clear();
-      done_ = true;
-      return;
-    }
-    max_buffered_ = std::max(max_buffered_, chunk_.size());
-    if (has_resume_ && !chunk_.empty() && chunk_.front().first == resume_key_) {
-      chunk_.erase(chunk_.begin());
-    }
-    if (chunk_capacity_ == 0) {
-      done_ = true;  // whole-range mode: one materializing fetch
-    } else if (chunk_.size() > chunk_capacity_) {
-      chunk_.resize(chunk_capacity_);  // resume key was deleted: trim the extra
-    } else if (chunk_.size() < chunk_capacity_) {
-      done_ = true;  // range exhausted
-    }
-    if (!chunk_.empty()) {
-      resume_key_ = chunk_.back().first;
-      has_resume_ = true;
-    }
+    finished_ = true;
+    return;
   }
+  max_buffered_ = std::max(max_buffered_, chunk_.size());
+  if (chunk_size_ == 0 || chunk_.size() < chunk_size_) {
+    finished_ = true;  // range exhausted (or whole-range mode)
+  }
+  if (!chunk_.empty()) {
+    resume_key_ = chunk_.back().key;
+  }
+}
 
-  KVStore* const store_;
-  ReadOptions options_;
-  const std::string high_;
-  const std::string low_;
-  std::string resume_key_;
-  bool has_resume_ = false;
-  const size_t chunk_capacity_;
-
-  std::vector<std::pair<std::string, std::string>> chunk_;
-  size_t pos_ = 0;
-  size_t max_buffered_ = 0;
-  bool done_ = false;
-  Status status_;
-};
-
-}  // namespace
-
-std::unique_ptr<ScanIterator> KVStore::NewScanIterator(const ReadOptions& options,
-                                                       const Slice& low_key,
-                                                       const Slice& high_key) {
-  return std::make_unique<ChunkedScanIterator>(this, options, low_key, high_key);
+Status KVStore::Scan(const ReadOptions& options, const Slice& low_key, const Slice& high_key,
+                     size_t limit, std::vector<std::pair<std::string, std::string>>* out) {
+  out->clear();
+  ReadOptions one_chunk = options;
+  one_chunk.scan_chunk_size = limit;
+  std::unique_ptr<ScanIterator> iter = NewScanIterator(one_chunk, low_key, high_key);
+  while (iter->Valid()) {
+    out->emplace_back(iter->key().ToString(), iter->value().ToString());
+    if (limit != 0 && out->size() >= limit) {
+      break;  // before Next(): a full chunk would otherwise fetch a second one
+    }
+    iter->Next();
+  }
+  return iter->status();
 }
 
 Status KVStore::Put(const WriteOptions& options, const Slice& key, const Slice& value) {

@@ -12,15 +12,17 @@
 //   NewScanIterator(ReadOptions, l, h) — pull-based range scan that
 //       streams results in bounded chunks instead of materializing the
 //       whole range; ReadOptions::snapshot_mode hints the snapshot
-//       protocol (FloDB: master vs. piggyback, paper §4.4).
-//   Scan(ReadOptions, l, h, limit, out) — the legacy materializing scan,
-//       kept as a convenience; implementations may build either entry
-//       point on top of the other.
+//       protocol (FloDB: master vs. piggyback, paper §4.4). Every store
+//       implements range reads here and only here.
+//   Scan(ReadOptions, l, h, limit, out) — a one-chunk read of that
+//       iterator (chunk size = limit), so the whole result is one
+//       snapshot.
 
 #ifndef FLODB_CORE_KV_STORE_H_
 #define FLODB_CORE_KV_STORE_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -37,14 +39,13 @@ struct StoreStats {
   uint64_t puts = 0;
   uint64_t gets = 0;
   uint64_t deletes = 0;
-  uint64_t scans = 0;
+  uint64_t scans = 0;  // range reads opened: vector Scans and streaming iterators
 
   // Batch ingestion (group commit amortization = batch_entries /
   // batch_writes; one-entry Put/Delete wrappers count as batches of 1).
   uint64_t batch_writes = 0;      // Write() commits
   uint64_t batch_entries = 0;     // entries across those commits
   uint64_t wal_batch_records = 0; // WAL batch records appended
-  uint64_t iterator_scans = 0;    // streaming iterators opened
 
   // Durability pipeline (DESIGN.md §10; zero for stores without a WAL).
   uint64_t wal_syncs = 0;             // fsyncs issued against the WAL
@@ -96,10 +97,8 @@ struct ReadOptions {
   bool fill_stats = true;
 
   // Entries a ScanIterator buffers per fetch. The iterator's memory use
-  // is bounded by this regardless of range size (the generic chunked
-  // iterator fetches one extra entry per resume as exclusive-bound
-  // overlap, so its bound is chunk_size + 1). 0 = materialize the whole
-  // range in one chunk (legacy Scan behavior).
+  // is bounded by this regardless of range size. 0 = materialize the
+  // whole range in one chunk.
   size_t scan_chunk_size = 1024;
 };
 
@@ -138,9 +137,8 @@ class ScanIterator {
 
   // Sequence number of the version this entry carries — the seq assigned
   // when the winning update entered the Memtable (or was persisted).
-  // Stores that do not track per-version seqs (the chunked baseline
-  // iterator) report 0. REQUIRES Valid().
-  virtual uint64_t seq() const { return 0; }
+  // REQUIRES Valid().
+  virtual uint64_t seq() const = 0;
 
   // Non-OK when the stream terminated on an error (iteration ends early).
   virtual Status status() const = 0;
@@ -148,6 +146,50 @@ class ScanIterator {
   // Largest number of entries this iterator ever held in memory at once —
   // the observable "streams without materializing" bound.
   virtual size_t MaxBufferedEntries() const = 0;
+};
+
+// One live scan result: the winning version's key, value and seq.
+struct ScanEntry {
+  std::string key;
+  std::string value;
+  uint64_t seq = 0;
+};
+
+// The chunk-buffering cursor every store's NewScanIterator returns. It
+// holds at most one chunk and refills it through `fetch`, resuming just
+// past the last key it emitted; each chunk is whatever snapshot the store
+// took for that fetch (DESIGN.md §4).
+class ChunkedScanIterator final : public ScanIterator {
+ public:
+  // Fills *out with up to `limit` (0 = all) live entries of the store's
+  // range in key order, starting at `start` — or just past it when
+  // `exclusive`.
+  using Fetch = std::function<Status(const Slice& start, bool exclusive, size_t limit,
+                                     std::vector<ScanEntry>* out)>;
+
+  // Fetches the first chunk (up to chunk_size entries, 0 = the whole
+  // range) before returning.
+  ChunkedScanIterator(const Slice& low_key, size_t chunk_size, Fetch fetch);
+
+  bool Valid() const override { return pos_ < chunk_.size(); }
+  void Next() override;
+  Slice key() const override { return Slice(chunk_[pos_].key); }
+  Slice value() const override { return Slice(chunk_[pos_].value); }
+  uint64_t seq() const override { return chunk_[pos_].seq; }
+  Status status() const override { return status_; }
+  size_t MaxBufferedEntries() const override { return max_buffered_; }
+
+ private:
+  void FetchChunk(bool exclusive);
+
+  const size_t chunk_size_;
+  const Fetch fetch_;
+  std::string resume_key_;  // the low bound, then the last emitted key
+  std::vector<ScanEntry> chunk_;
+  size_t pos_ = 0;
+  bool finished_ = false;
+  size_t max_buffered_ = 0;
+  Status status_;
 };
 
 class KVStore {
@@ -163,19 +205,18 @@ class KVStore {
   // On hit fills *value and returns OK; NotFound for absent or deleted keys.
   virtual Status Get(const ReadOptions& options, const Slice& key, std::string* value) = 0;
 
-  // Returns up to `limit` live entries with low_key <= key < high_key in
-  // key order (limit 0 = unbounded; empty high_key = unbounded above).
-  virtual Status Scan(const ReadOptions& options, const Slice& low_key, const Slice& high_key,
-                      size_t limit,
-                      std::vector<std::pair<std::string, std::string>>* out) = 0;
-
-  // Streams [low_key, high_key) without materializing it. The default
-  // implementation fetches bounded chunks through Scan(), resuming after
-  // the last returned key; FloDB overrides it with a native iterator on
-  // the master/piggyback machinery.
+  // Streams [low_key, high_key) without materializing it (empty high_key
+  // = unbounded above). Counts one scan when options.fill_stats is set.
   virtual std::unique_ptr<ScanIterator> NewScanIterator(const ReadOptions& options,
                                                         const Slice& low_key,
-                                                        const Slice& high_key);
+                                                        const Slice& high_key) = 0;
+
+  // Returns up to `limit` live entries with low_key <= key < high_key in
+  // key order (limit 0 = unbounded; empty high_key = unbounded above):
+  // one chunk of NewScanIterator sized by `limit`. Virtual only so a
+  // decorator can wrap it; stores implement NewScanIterator.
+  virtual Status Scan(const ReadOptions& options, const Slice& low_key, const Slice& high_key,
+                      size_t limit, std::vector<std::pair<std::string, std::string>>* out);
 
   // ---- convenience wrappers (thin one-entry batches / default options) ----
 

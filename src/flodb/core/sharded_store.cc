@@ -543,9 +543,12 @@ Status ShardedKVStore::Get(const ReadOptions& options, const Slice& key, std::st
   return shards_[static_cast<size_t>(router_.ShardOf(key))]->Get(options, key, value);
 }
 
-std::unique_ptr<ScanIterator> ShardedKVStore::NewMergedIterator(const ReadOptions& options,
-                                                                const Slice& low_key,
-                                                                const Slice& high_key) {
+std::unique_ptr<ScanIterator> ShardedKVStore::NewScanIterator(const ReadOptions& options,
+                                                              const Slice& low_key,
+                                                              const Slice& high_key) {
+  if (shards_.size() == 1) {
+    return shards_[0]->NewScanIterator(options, low_key, high_key);
+  }
   int first = 0;
   int last = 0;
   router_.ShardRange(low_key, high_key, &first, &last);
@@ -584,34 +587,6 @@ std::unique_ptr<ScanIterator> ShardedKVStore::NewMergedIterator(const ReadOption
   return std::make_unique<ShardedScanIterator>(std::move(children));
 }
 
-Status ShardedKVStore::Scan(const ReadOptions& options, const Slice& low_key,
-                            const Slice& high_key, size_t limit,
-                            std::vector<std::pair<std::string, std::string>>* out) {
-  if (shards_.size() == 1) {
-    return shards_[0]->Scan(options, low_key, high_key, limit, out);
-  }
-  out->clear();
-  // Collect through the merged stream: per-shard memory stays bounded by
-  // the chunk size even though the result vector materializes.
-  std::unique_ptr<ScanIterator> iter = NewMergedIterator(options, low_key, high_key);
-  for (; iter->Valid(); iter->Next()) {
-    out->emplace_back(iter->key().ToString(), iter->value().ToString());
-    if (limit != 0 && out->size() >= limit) {
-      break;
-    }
-  }
-  return iter->status();
-}
-
-std::unique_ptr<ScanIterator> ShardedKVStore::NewScanIterator(const ReadOptions& options,
-                                                              const Slice& low_key,
-                                                              const Slice& high_key) {
-  if (shards_.size() == 1) {
-    return shards_[0]->NewScanIterator(options, low_key, high_key);
-  }
-  return NewMergedIterator(options, low_key, high_key);
-}
-
 Status ShardedKVStore::FlushAll() {
   for (auto& shard : shards_) {
     Status s = shard->FlushAll();
@@ -647,7 +622,6 @@ StoreStats ShardedKVStore::GetStats() const {
     total.batch_writes += s.batch_writes;
     total.batch_entries += s.batch_entries;
     total.wal_batch_records += s.wal_batch_records;
-    total.iterator_scans += s.iterator_scans;
     total.membuffer_adds += s.membuffer_adds;
     total.memtable_direct_adds += s.memtable_direct_adds;
     total.drained_entries += s.drained_entries;

@@ -17,8 +17,9 @@
 //                    zero-copy fast path: no prepare, no marker, no fence.
 //   Get/Put/Del   -> routed to the owning shard.
 //   Scan/iterate  -> per-shard streaming iterators merged by a k-way
-//                    heap (reusing disk/merging_iterator), preserving
-//                    PR 2's bounded-chunk memory ceiling per shard.
+//                    heap (reusing disk/merging_iterator), keeping the
+//                    bounded-chunk memory ceiling per shard; a Scan reads
+//                    one chunk of every consulted shard.
 //                    Multi-shard cursors open under the write fence with
 //                    fresh master snapshots, so the initial chunk of
 //                    every shard stream sits on one side of any
@@ -65,12 +66,9 @@ class ShardedKVStore final : public KVStore {
   ShardedKVStore& operator=(const ShardedKVStore&) = delete;
 
   using KVStore::Get;
-  using KVStore::Scan;
 
   Status Write(const WriteOptions& options, WriteBatch* batch) override;
   Status Get(const ReadOptions& options, const Slice& key, std::string* value) override;
-  Status Scan(const ReadOptions& options, const Slice& low_key, const Slice& high_key,
-              size_t limit, std::vector<std::pair<std::string, std::string>>* out) override;
   std::unique_ptr<ScanIterator> NewScanIterator(const ReadOptions& options, const Slice& low_key,
                                                 const Slice& high_key) override;
   Status FlushAll() override;
@@ -106,9 +104,6 @@ class ShardedKVStore final : public KVStore {
 
  private:
   ShardedKVStore(int shards, size_t prefix_skip);
-
-  std::unique_ptr<ScanIterator> NewMergedIterator(const ReadOptions& options,
-                                                  const Slice& low_key, const Slice& high_key);
 
   // Two-phase commit for a straddling batch: per-shard prepares, one
   // durable commit marker, then apply-to-memory under the shared fence.

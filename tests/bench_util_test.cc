@@ -106,6 +106,26 @@ TEST(LatencyTest, MergeCombinesStreams) {
   EXPECT_LE(p50, 9000u);
 }
 
+TEST(LatencyTest, MergeWeightsFullReservoirsByCount) {
+  // 10,000 samples at 1 us against 100 at 1 ms, both reservoirs full: the
+  // slow stream is 1% of the merged one, whichever side merges into which.
+  for (const bool fast_first : {true, false}) {
+    LatencyRecorder fast(100);
+    LatencyRecorder slow(100);
+    for (int i = 0; i < 10'000; ++i) {
+      fast.Record(1'000);
+    }
+    for (int i = 0; i < 100; ++i) {
+      slow.Record(1'000'000);
+    }
+    LatencyRecorder& merged = fast_first ? fast : slow;
+    merged.Merge(fast_first ? slow : fast);
+    EXPECT_EQ(merged.Count(), 10'100u);
+    EXPECT_EQ(merged.PercentileNanos(50), 1'000u) << "fast_first=" << fast_first;
+    EXPECT_EQ(merged.PercentileNanos(90), 1'000u) << "fast_first=" << fast_first;
+  }
+}
+
 TEST(LatencyTest, EmptyRecorderReturnsZero) {
   LatencyRecorder recorder;
   EXPECT_EQ(recorder.PercentileNanos(50), 0u);

@@ -430,7 +430,7 @@ TEST_F(FloDBScanTest, IteratorMatchesVectorScan) {
   for (size_t i = 0; i < streamed.size(); ++i) {
     EXPECT_EQ(streamed[i], expected[i]) << "divergence at index " << i;
   }
-  EXPECT_EQ(db_->GetStats().iterator_scans, 1u);
+  EXPECT_EQ(db_->GetStats().scans, 2u);  // the vector Scan and the iterator
 }
 
 TEST_F(FloDBScanTest, IteratorStreamsMillionKeysBounded) {
@@ -582,7 +582,7 @@ TEST_F(FloDBScanTest, SnapshotModeHintsSteerElection) {
     EXPECT_EQ(n, 100u);
   }
   EXPECT_EQ(db_->GetStats().master_scans, masters_after_first + 1);
-  EXPECT_EQ(db_->GetStats().iterator_scans, 2u);
+  EXPECT_EQ(db_->GetStats().scans, 3u);  // one vector Scan, two iterators
 }
 
 TEST_F(FloDBScanTest, IteratorOnEmptyRange) {
