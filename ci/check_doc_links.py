@@ -7,6 +7,10 @@ file (GitHub slugification: lowercase, punctuation stripped, spaces to
 hyphens, -N suffixes for duplicates). External links (http/https/
 mailto) are not checked — this is a filesystem check, not a crawler.
 
+It also catches stale knob docs: in every BUILDING.md table whose header
+row starts with `| Knob`, each backticked name in the first column must
+be declared as a field in some src/flodb/**/*.h header.
+
 Usage:
     check_doc_links.py [repo_root]
 
@@ -56,6 +60,34 @@ def heading_anchors(text):
         counts[slug] = n + 1
         anchors.add(slug if n == 0 else f"{slug}-{n}")
     return anchors
+
+
+def stale_knobs(root):
+    """Backticked first-column names of BUILDING.md `| Knob` tables that
+    no src/flodb/**/*.h header declares as a field."""
+    headers = []
+    for dirpath, _, names in os.walk(os.path.join(root, "src", "flodb")):
+        for name in names:
+            if name.endswith(".h"):
+                with open(os.path.join(dirpath, name), encoding="utf-8") as f:
+                    headers.append(f.read())
+    headers = "\n".join(headers)
+
+    def declared(name):
+        # A type token, the name, an optional initializer, then ';'.
+        return re.search(r"[\w>*&]\s+%s\s*(?:=[^;]*)?;" % re.escape(name), headers)
+
+    stale = []
+    in_table = False
+    with open(os.path.join(root, "BUILDING.md"), encoding="utf-8") as f:
+        for line in f:
+            # A table runs from its `| Knob` header row to the first non-row.
+            in_table = line.startswith("|") and (in_table or line.startswith("| Knob"))
+            if in_table:
+                stale += [f"BUILDING.md: knob `{name}` is not a field in src/flodb/**/*.h"
+                          for name in INLINE_CODE_RE.findall(line.split("|")[1])
+                          if not declared(name)]
+    return stale
 
 
 def doc_files(root):
@@ -112,11 +144,14 @@ def main():
             if fragment.lower() not in anchors_of(anchor_target):
                 failures.append(f"{rel}: dead anchor -> {raw}")
 
+    failures.extend(stale_knobs(root))
+
     if failures:
         for failure in failures:
             print("FAIL: " + failure)
         return 1
-    print(f"PASS: {checked} relative doc links and {anchors_checked} anchors resolve")
+    print(f"PASS: {checked} relative doc links and {anchors_checked} anchors resolve; "
+          "every documented knob is a declared field")
     return 0
 
 

@@ -11,6 +11,9 @@ using Concurrency = BaselineOptions::Concurrency;
 
 namespace {
 
+// Most writers one group-commit leader applies at once.
+constexpr size_t kWriteGroupMax = 64;
+
 BaselineOptions Preset(const char* name, Concurrency concurrency, BaselineMemTable::Kind kind,
                        size_t memtable_bytes, const DiskOptions& disk, int compaction_threads) {
   BaselineOptions options;
@@ -213,7 +216,7 @@ Status BaselineStore::WriteSingleWriter(const Slice& key, const Slice& value, Va
   }
 
   // We are the leader: collect a group and apply it sequentially.
-  const size_t group_size = std::min(writers_.size(), options_.write_group_max);
+  const size_t group_size = std::min(writers_.size(), kWriteGroupMax);
   std::vector<Writer*> group(writers_.begin(), writers_.begin() + group_size);
   writers_mu_.unlock();
 

@@ -48,7 +48,6 @@ struct BaselineOptions {
   BaselineMemTable::Kind memtable_kind = BaselineMemTable::Kind::kSkipList;
 
   size_t memtable_bytes = 4u << 20;
-  size_t write_group_max = 64;
   bool enable_persistence = true;
   DiskOptions disk;
 

@@ -40,8 +40,6 @@ MemBuffer* FloDB::NewMembuffer() const {
   if (mo.capacity_bytes < (64u << 10)) {
     mo.capacity_bytes = 64u << 10;
   }
-  mo.partition_bits = options_.membuffer_partition_bits;
-  mo.avg_entry_bytes_hint = options_.membuffer_avg_entry_hint;
   mo.dead_pointer_fn = MakeDeadPointerFn();
   return new MemBuffer(mo);
 }
@@ -66,6 +64,11 @@ DeadPointerFn FloDB::MakeDeadPointerFn() const {
 }
 
 Status FloDB::Open(const FloDbOptions& options, std::unique_ptr<FloDB>* out) {
+  return Open(options, nullptr, out);
+}
+
+Status FloDB::Open(const FloDbOptions& options, CrossShardTxnRecovery* txn_recovery,
+                   std::unique_ptr<FloDB>* out) {
   if (options.enable_persistence &&
       (options.disk.env == nullptr || options.disk.path.empty())) {
     return Status::InvalidArgument("persistence requires disk.env and disk.path");
@@ -78,11 +81,6 @@ Status FloDB::Open(const FloDbOptions& options, std::unique_ptr<FloDB>* out) {
   }
   if (options.memory_budget_bytes == 0) {
     return Status::InvalidArgument("memory_budget_bytes must be positive");
-  }
-  if (options.drain_threads < 0) {
-    // 0 is allowed and clamped to one thread by StartBackgroundThreads;
-    // a negative count is a configuration error.
-    return Status::InvalidArgument("drain_threads must not be negative");
   }
   if (options.shards < 1) {
     return Status::InvalidArgument("shards must be >= 1");
@@ -111,7 +109,7 @@ Status FloDB::Open(const FloDbOptions& options, std::unique_ptr<FloDB>* out) {
   }
 
   if (options.enable_wal) {
-    Status s = db->RecoverFromWal();
+    Status s = db->RecoverFromWal(txn_recovery);
     if (!s.ok()) {
       return s;
     }

@@ -32,6 +32,7 @@
 #ifndef FLODB_CORE_FLODB_H_
 #define FLODB_CORE_FLODB_H_
 
+#include <algorithm>
 #include <atomic>
 #include <deque>
 #include <map>
@@ -52,6 +53,22 @@
 namespace flodb {
 
 class ShardedKVStore;
+
+// Cross-shard transaction recovery context, passed by ShardedKVStore::Open
+// to each shard's FloDB::Open for WAL replay. `committed` holds the
+// txn ids with a durable commit marker in the router's txn log; a prepare
+// record replays iff its id is in this set, otherwise it is an orphan.
+// Shards report the highest txn id seen (committed or not) back through
+// `max_txn_id_seen` so the router can restart its id counter past every
+// id ever issued. Owned by the router; shards only borrow it during Open.
+struct CrossShardTxnRecovery {
+  std::vector<uint64_t> committed;  // sorted ascending
+  uint64_t max_txn_id_seen = 0;
+
+  bool IsCommitted(uint64_t txn_id) const {
+    return std::binary_search(committed.begin(), committed.end(), txn_id);
+  }
+};
 
 class FloDB final : public KVStore {
  public:
@@ -103,6 +120,11 @@ class FloDB final : public KVStore {
   friend class ShardedKVStore;
 
   explicit FloDB(const FloDbOptions& options);
+
+  // Opens one shard of a ShardedKVStore. With no `txn_recovery`, WAL
+  // replay treats every prepare record as orphaned.
+  static Status Open(const FloDbOptions& options, CrossShardTxnRecovery* txn_recovery,
+                     std::unique_ptr<FloDB>* out);
 
   // A batch entry decoded once per Write; slices point into the batch rep.
   struct BatchEntryRef {
@@ -264,7 +286,7 @@ class FloDB final : public KVStore {
   // writer and try to open a fresh log.
   void TryReopenWal() EXCLUDES(wal_mu_);
 
-  Status RecoverFromWal();
+  Status RecoverFromWal(CrossShardTxnRecovery* txn_recovery);
   std::string WalFileName(uint64_t number) const;
 
   const FloDbOptions options_;
@@ -303,6 +325,8 @@ class FloDB final : public KVStore {
   bool master_busy_ GUARDED_BY(scan_mu_) = false;
   bool published_valid_ GUARDED_BY(scan_mu_) = false;
   uint64_t published_seq_ GUARDED_BY(scan_mu_) = 0;
+  // Piggybacking scans one published sequence number may serve.
+  static constexpr int kPiggybackChainLimit = 8;
   int chain_len_ GUARDED_BY(scan_mu_) = 0;
   int reuse_count_ GUARDED_BY(scan_mu_) = 0;
   int running_scans_ GUARDED_BY(scan_mu_) = 0;
@@ -354,7 +378,7 @@ class FloDB final : public KVStore {
   // generation and makes retired-log deletion safe.
   std::atomic<uint64_t> inflight_wal_applies_[2] = {0, 0};
 
-  std::vector<std::thread> drain_threads_;
+  std::thread drain_thread_;  // started only when the Membuffer is enabled
   std::thread persist_thread_;
   std::thread vlog_gc_thread_;  // started only when separation is enabled
   std::atomic<bool> stop_{false};

@@ -16,6 +16,8 @@ namespace flodb {
 namespace {
 
 constexpr auto kDrainIdleSleep = std::chrono::microseconds(100);
+// Entries one drain pass collects from a Membuffer partition.
+constexpr size_t kDrainBatch = 64;
 constexpr size_t kHelpDrainChunkBuckets = 64;
 
 }  // namespace
@@ -23,9 +25,7 @@ constexpr size_t kHelpDrainChunkBuckets = 64;
 void FloDB::StartBackgroundThreads() {
   stop_.store(false, std::memory_order_relaxed);
   if (options_.enable_membuffer) {
-    for (int i = 0; i < std::max(1, options_.drain_threads); ++i) {
-      drain_threads_.emplace_back([this] { DrainLoop(); });
-    }
+    drain_thread_ = std::thread([this] { DrainLoop(); });
   }
   persist_thread_ = std::thread([this] { PersistLoop(); });
   if (disk_ != nullptr && disk_->SeparationEnabled()) {
@@ -48,10 +48,9 @@ void FloDB::StopBackgroundThreads() {
   if (vlog_gc_thread_.joinable()) {
     vlog_gc_thread_.join();
   }
-  for (std::thread& t : drain_threads_) {
-    t.join();
+  if (drain_thread_.joinable()) {
+    drain_thread_.join();
   }
-  drain_threads_.clear();
   if (persist_thread_.joinable()) {
     persist_thread_.join();
   }
@@ -183,7 +182,7 @@ void FloDB::InsertBatch(std::vector<DrainedEntry>* batch) {
 
 void FloDB::DrainLoop() {
   std::vector<DrainedEntry> batch;
-  batch.reserve(options_.drain_batch);
+  batch.reserve(kDrainBatch);
   uint64_t empty_passes = 0;
 
   while (!stop_.load(std::memory_order_relaxed)) {
@@ -235,12 +234,14 @@ void FloDB::DrainLoop() {
     }
 
     size_t collected = 0;
+    uint64_t mbf_partitions = 0;
     {
       RcuReadGuard guard(rcu_);
       MemBuffer* mbf = mbf_.load(std::memory_order_seq_cst);
       if (mbf != nullptr) {
+        mbf_partitions = mbf->NumPartitions();
         const uint64_t partition = mbf->ClaimPartition();
-        collected = mbf->CollectAndMark(partition, options_.drain_batch, &batch);
+        collected = mbf->CollectAndMark(partition, kDrainBatch, &batch);
         if (collected > 0) {
           InsertBatch(&batch);
           mbf->FinishDrain(batch);
@@ -253,7 +254,7 @@ void FloDB::DrainLoop() {
       // Nothing drainable in that partition; back off a little once the
       // whole table looks empty, but stay eager: "draining is a
       // continuously ongoing process" (§4.2).
-      if (++empty_passes > 2 * (uint64_t{1} << options_.membuffer_partition_bits)) {
+      if (++empty_passes > 2 * mbf_partitions) {
         std::this_thread::sleep_for(kDrainIdleSleep);
         empty_passes = 0;
       }
@@ -536,7 +537,7 @@ std::string FloDB::WalFileName(uint64_t number) const {
   return options_.disk.path + buf;
 }
 
-Status FloDB::RecoverFromWal() {
+Status FloDB::RecoverFromWal(CrossShardTxnRecovery* txn_recovery) {
   Env* env = options_.disk.env;
   env->CreateDir(options_.disk.path);
 
@@ -587,11 +588,10 @@ Status FloDB::RecoverFromWal() {
           // an orphan and is discarded whole. A marker whose prepare is
           // MISSING here is also fine — that shard slice already
           // persisted to the disk component and its log was deleted.
-          CrossShardTxnRecovery* ctx = options_.txn_recovery;
-          if (ctx != nullptr && txn_id > ctx->max_txn_id_seen) {
-            ctx->max_txn_id_seen = txn_id;
+          if (txn_recovery != nullptr && txn_id > txn_recovery->max_txn_id_seen) {
+            txn_recovery->max_txn_id_seen = txn_id;
           }
-          const bool committed = ctx != nullptr && ctx->IsCommitted(txn_id);
+          const bool committed = txn_recovery != nullptr && txn_recovery->IsCommitted(txn_id);
           if (!committed) {
             orphaned_prepares_.fetch_add(1, std::memory_order_relaxed);
           }

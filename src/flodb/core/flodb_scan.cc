@@ -10,7 +10,7 @@
 //
 // Piggybacking scan: a scan that begins while another scan runs reuses the
 // published sequence number (no re-drain); chains are bounded by
-// `scan_piggyback_chain_limit`. Piggyback restarts take a fresh sequence
+// kPiggybackChainLimit. Piggyback restarts take a fresh sequence
 // number without re-draining. Master scans are linearizable w.r.t.
 // updates (linearization point: the Membuffer pointer swap); piggybacked
 // scans are serializable.
@@ -145,7 +145,7 @@ FloDB::ScanTicket FloDB::BeginScan(SnapshotMode mode) {
     while (true) {
       if (mode != SnapshotMode::kMaster && published_valid_) {
         // Piggyback: another scan is running and its chain has budget.
-        if (running_scans_ > 0 && chain_len_ < options_.scan_piggyback_chain_limit) {
+        if (running_scans_ > 0 && chain_len_ < kPiggybackChainLimit) {
           ticket.seq = published_seq_;
           ++chain_len_;
           ++running_scans_;

@@ -1,36 +1,17 @@
 // FloDbOptions: tuning knobs of the two-tier memory component.
 //
 // Defaults reflect the paper's configuration scaled to test size: the
-// memory budget splits 1/4 Membuffer : 3/4 Memtable (§5.1), one drain
-// thread, multi-insert draining, scan restart threshold with fallback.
+// memory budget splits 1/4 Membuffer : 3/4 Memtable (§5.1), multi-insert
+// draining, scan restart threshold with fallback.
 
 #ifndef FLODB_CORE_OPTIONS_H_
 #define FLODB_CORE_OPTIONS_H_
 
-#include <algorithm>
 #include <cstddef>
-#include <cstdint>
-#include <vector>
 
 #include "flodb/disk/disk_component.h"
 
 namespace flodb {
-
-// Cross-shard transaction recovery context, wired by ShardedKVStore::Open
-// into each shard's FloDB::Open before WAL replay. `committed` holds the
-// txn ids with a durable commit marker in the router's txn log; a prepare
-// record replays iff its id is in this set, otherwise it is an orphan.
-// Shards report the highest txn id seen (committed or not) back through
-// `max_txn_id_seen` so the router can restart its id counter past every
-// id ever issued. Owned by the router; shards only borrow it during Open.
-struct CrossShardTxnRecovery {
-  std::vector<uint64_t> committed;  // sorted ascending
-  uint64_t max_txn_id_seen = 0;
-
-  bool IsCommitted(uint64_t txn_id) const {
-    return std::binary_search(committed.begin(), committed.end(), txn_id);
-  }
-};
 
 struct FloDbOptions {
   // Total in-memory budget (Membuffer + Memtable target).
@@ -47,16 +28,8 @@ struct FloDbOptions {
   // ("HT, simple insert SL" variant, Figure 17).
   bool use_multi_insert = true;
 
-  int drain_threads = 1;
-  size_t drain_batch = 64;
-
-  // `l`: top key bits selecting the Membuffer partition (§4.3).
-  int membuffer_partition_bits = 4;
-  size_t membuffer_avg_entry_hint = 64;
-
   // Scan machinery (§4.4).
   int scan_restart_threshold = 3;
-  int scan_piggyback_chain_limit = 8;
 
   // The paper's low-concurrency optimization: a scan that starts while NO
   // other scan is running may still reuse the previous master's sequence
@@ -84,9 +57,10 @@ struct FloDbOptions {
   // non-power-of-two count rounds UP to the next power of two (the
   // requested parallelism is a floor), capped at 256. Each shard gets
   // memory_budget_bytes / shards, a subdirectory of disk.path, its own
-  // WAL, and a slice of the drain/compaction thread budgets (floor of
-  // one thread per shard). FloDB::Open itself only accepts shards == 1;
-  // open a sharded store through ShardedKVStore::Open.
+  // WAL, its own drain thread, and a slice of the compaction thread
+  // budget (floor of one thread per shard). FloDB::Open itself only
+  // accepts shards == 1; open a sharded store through
+  // ShardedKVStore::Open.
   //
   // A WriteBatch that straddles shards commits via two-phase commit:
   // every touched shard durably logs a prepare record, the router fsyncs
@@ -102,12 +76,6 @@ struct FloDbOptions {
   // key into one shard. 0 keeps routing order-preserving, which lets
   // range scans prune to the shards intersecting their bounds.
   size_t shard_key_prefix_skip = 0;
-
-  // Internal (set by ShardedKVStore::Open, ignored otherwise): borrowed
-  // pointer to the router's transaction recovery context, consulted by
-  // WAL replay to decide the fate of prepare records. With no context,
-  // every prepare is conservatively treated as orphaned.
-  CrossShardTxnRecovery* txn_recovery = nullptr;
 
   DiskOptions disk;
 };

@@ -186,14 +186,11 @@ Status ShardedKVStore::Open(const FloDbOptions& options, std::unique_ptr<Sharded
   }
 
   // Per-shard configuration: an equal slice of the memory budget and of
-  // the background-thread budgets (floor of one thread per shard; 0 keeps
-  // its meaning — "let FloDB clamp" for drain, "disabled" for compaction).
+  // the compaction-thread budget (floor of one thread per shard; 0 keeps
+  // meaning "disabled").
   FloDbOptions shard_options = options;
   shard_options.shards = 1;
   shard_options.memory_budget_bytes = options.memory_budget_bytes / static_cast<size_t>(n);
-  if (options.drain_threads > 0) {
-    shard_options.drain_threads = std::max(1, options.drain_threads / n);
-  }
   if (options.disk.compaction_threads > 0) {
     shard_options.disk.compaction_threads = std::max(1, options.disk.compaction_threads / n);
     // Every shard keeps >= 1 worker so it can always drain its own L0,
@@ -241,8 +238,9 @@ Status ShardedKVStore::Open(const FloDbOptions& options, std::unique_ptr<Sharded
   // sync, or the ack raced the crash) and ends the scan; mid-log
   // corruption refuses to open, mirroring the WAL reader's contract.
   uint64_t max_marker_id = 0;
+  std::unique_ptr<CrossShardTxnRecovery> txn_recovery;
   if (options.enable_persistence && options.enable_wal && n > 1) {
-    store->txn_recovery_ = std::make_unique<CrossShardTxnRecovery>();
+    txn_recovery = std::make_unique<CrossShardTxnRecovery>();
     const std::string log_path = TxnLogPath(options.disk.path);
     std::unique_ptr<SequentialFile> file;
     if (options.disk.env->NewSequentialFile(log_path, &file).ok()) {
@@ -258,13 +256,13 @@ Status ShardedKVStore::Open(const FloDbOptions& options, std::unique_ptr<Sharded
         if (!GetVarint64(&in, &txn_id)) {
           return Status::Corruption("malformed txn-log record");
         }
-        store->txn_recovery_->committed.push_back(txn_id);
+        txn_recovery->committed.push_back(txn_id);
         max_marker_id = std::max(max_marker_id, txn_id);
       }
       if (!reader.status().ok()) {
         return reader.status();
       }
-      std::sort(store->txn_recovery_->committed.begin(), store->txn_recovery_->committed.end());
+      std::sort(txn_recovery->committed.begin(), txn_recovery->committed.end());
     }
   }
 
@@ -279,9 +277,8 @@ Status ShardedKVStore::Open(const FloDbOptions& options, std::unique_ptr<Sharded
     if (options.enable_persistence) {
       per_shard.disk.path = ShardPath(options.disk.path, i);
     }
-    per_shard.txn_recovery = store->txn_recovery_.get();
     std::unique_ptr<FloDB> shard;
-    Status s = FloDB::Open(per_shard, &shard);
+    Status s = FloDB::Open(per_shard, txn_recovery.get(), &shard);
     if (!s.ok()) {
       return s;
     }
@@ -293,10 +290,9 @@ Status ShardedKVStore::Open(const FloDbOptions& options, std::unique_ptr<Sharded
   // logs that held them), so the txn log truncates and restarts empty.
   // The id counter resumes past every id ever seen — in a marker or in
   // an orphaned prepare — so ids never repeat across restarts.
-  if (store->txn_recovery_ != nullptr) {
-    store->next_txn_id_.store(
-        std::max(max_marker_id, store->txn_recovery_->max_txn_id_seen) + 1,
-        std::memory_order_relaxed);
+  if (txn_recovery != nullptr) {
+    store->next_txn_id_.store(std::max(max_marker_id, txn_recovery->max_txn_id_seen) + 1,
+                              std::memory_order_relaxed);
     std::unique_ptr<WritableFile> file;
     Status s = options.disk.env->NewWritableFile(TxnLogPath(options.disk.path), &file);
     if (!s.ok()) {

@@ -5,8 +5,8 @@
 // drain and persist threads — under a per-shard subdirectory of
 // disk.path, so writes to different shards share NO serialization point:
 // no common WAL mutex, no common Membuffer, no common drain pipeline.
-// The configured memory budget and drain/compaction thread budgets are
-// divided across the shards (floor of one thread per shard).
+// The configured memory budget and compaction thread budget are divided
+// across the shards (floor of one thread per shard).
 //
 //   Write(batch)  -> split by shard. A straddling batch commits via
 //                    two-phase commit: every touched shard durably logs a
@@ -128,10 +128,8 @@ class ShardedKVStore final : public KVStore {
   const ShardRouter router_;
   std::vector<std::unique_ptr<FloDB>> shards_;
 
-  // Cross-shard transaction state (DESIGN.md §8). The recovery context
-  // outlives Open because each shard's options keep a borrowed pointer.
+  // Cross-shard transaction state (DESIGN.md §8).
   bool wal_enabled_ = false;
-  std::unique_ptr<CrossShardTxnRecovery> txn_recovery_;
   std::atomic<uint64_t> next_txn_id_{1};
 
   // Txn log (commit markers): append-only at runtime, truncated by the

@@ -129,18 +129,11 @@ int CompactionThreadLimiter::InUse() const {
   return in_use_;
 }
 
-int BloomBitsForLevel(const std::vector<int>& per_level, int default_bits, int level) {
-  if (!per_level.empty()) {
-    const size_t i = std::min(static_cast<size_t>(level), per_level.size() - 1);
-    return per_level[i];
-  }
+int BloomBitsForLevel(int level) {
   if (level <= 1) {
-    return default_bits + 2;
+    return 12;
   }
-  if (level <= 3) {
-    return default_bits;
-  }
-  return std::max(5, default_bits - 4);
+  return level <= 3 ? 10 : 6;
 }
 
 }  // namespace flodb

@@ -97,13 +97,10 @@ class CompactionThreadLimiter {
   int in_use_ GUARDED_BY(mu_) = 0;
 };
 
-// Bloom bits per key for a level. A non-empty `per_level` vector is
-// authoritative (levels past its end reuse its last entry). An empty
-// vector derives a ladder from `default_bits`: L0/L1 get default+2 (every
-// point read probes them), L2/L3 get the default, deeper cold levels get
-// max(5, default-4) — their files are large, rarely probed, and filter
-// bytes there crowd the table cache.
-int BloomBitsForLevel(const std::vector<int>& per_level, int default_bits, int level);
+// Bloom bits per key for a level: 12 for L0/L1 (every point read probes
+// them), 10 for L2/L3, 6 for deeper cold levels — their files are large,
+// rarely probed, and filter bytes there crowd the table cache.
+int BloomBitsForLevel(int level);
 
 }  // namespace flodb
 

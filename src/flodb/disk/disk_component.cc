@@ -16,6 +16,9 @@ namespace flodb {
 
 namespace {
 
+// AddRun blocks while L0 holds this many files.
+constexpr size_t kL0StallTrigger = 12;
+
 CompactionConfig MakeCompactionConfig(const DiskOptions& options) {
   CompactionConfig config;
   config.num_levels = options.num_levels;
@@ -69,13 +72,6 @@ Status DiskComponent::Open(const DiskOptions& options, std::unique_ptr<DiskCompo
     // of silently crawling. block_cache_bytes == 0 stays valid: it only
     // turns off block caching.
     return Status::InvalidArgument("table_cache_entries must be >= 1");
-  }
-  for (const int bits : options.bloom_bits_per_level) {
-    if (bits < 1) {
-      // A zero entry would silently disable the filter for a level and
-      // turn every miss into a table read; require an explicit >= 1.
-      return Status::InvalidArgument("bloom_bits_per_level entries must be >= 1");
-    }
   }
   if (options.value_separation_threshold < 0) {
     return Status::InvalidArgument("value_separation_threshold must be >= 0");
@@ -235,8 +231,7 @@ Status DiskComponent::AddRun(Iterator* iter) {
     MutexLock lock(mu_);
     // Explicit loop: the predicate reads guarded state (stop_), so it
     // must run in this annotated scope rather than inside a lambda.
-    while (!stop_ && static_cast<int>(versions_->Current()->LevelFiles(0).size()) >=
-                         options_.l0_stall_trigger) {
+    while (!stop_ && versions_->Current()->LevelFiles(0).size() >= kL0StallTrigger) {
       idle_cv_.Wait(mu_);
     }
     if (stop_) {
@@ -254,7 +249,7 @@ Status DiskComponent::AddRun(Iterator* iter) {
   }
   TableBuilder::Options builder_options;
   builder_options.block_bytes = options_.block_bytes;
-  builder_options.bloom_bits_per_key = BloomBits(/*level=*/0);
+  builder_options.bloom_bits_per_key = BloomBitsForLevel(/*level=*/0);
   TableBuilder builder(builder_options, file.get());
 
   std::string last_key;
@@ -527,7 +522,7 @@ Status DiskComponent::DoCompaction(const CompactionJob& job) {
   std::vector<std::unique_ptr<PendingOutput>> pending;  // GC shields, held past install
   TableBuilder::Options builder_options;
   builder_options.block_bytes = options_.block_bytes;
-  builder_options.bloom_bits_per_key = BloomBits(out_level);
+  builder_options.bloom_bits_per_key = BloomBitsForLevel(out_level);
 
   auto finish_output = [&]() -> Status {
     if (builder == nullptr) {

@@ -39,14 +39,6 @@ struct DiskOptions {
 
   size_t sstable_target_bytes = 2u << 20;  // output rolling size (compactions)
   size_t block_bytes = 4096;
-  int bloom_bits_per_key = 10;
-
-  // Per-level bloom sizing. Empty (default) derives a ladder from
-  // bloom_bits_per_key: L0/L1 get +2 bits (every point read probes
-  // them), L2/L3 the default, L4+ max(5, default-4). A non-empty vector
-  // is authoritative per level (entries must be >= 1; levels past its
-  // end reuse the last entry). See BloomBitsForLevel in compaction.h.
-  std::vector<int> bloom_bits_per_level;
 
   // Shared LRU block cache over decoded data blocks, keyed
   // (file_number, block_index) and charged by byte size. 0 disables
@@ -60,7 +52,6 @@ struct DiskOptions {
 
   int num_levels = 7;
   int l0_compaction_trigger = 4;   // L0 file count that triggers L0->L1
-  int l0_stall_trigger = 12;       // AddRun blocks above this many L0 files
   uint64_t l1_max_bytes = 8ull << 20;
   int level_size_multiplier = 10;
 
@@ -233,10 +224,6 @@ class DiskComponent {
   explicit DiskComponent(const DiskOptions& options);
 
   std::shared_ptr<TableReader> GetTable(uint64_t number, uint64_t file_size) const;
-
-  int BloomBits(int level) const {
-    return BloomBitsForLevel(options_.bloom_bits_per_level, options_.bloom_bits_per_key, level);
-  }
 
   // Returns true, fills *job and marks both job levels busy if work is
   // available.

@@ -72,6 +72,12 @@ bool DecodeReply(const char* data, size_t len, size_t pos, RespReply* out, size_
         *next = after;
         return true;
       }
+      // The smallest element ("+\r\n") is 3 bytes: a count the buffered
+      // bytes cannot cover is incomplete, and allocating for it before
+      // the bytes arrive would trust an unverified header.
+      if (static_cast<unsigned long long>(count) > (len - after) / 3) {
+        return false;
+      }
       out->type = RespReply::Type::kArray;
       out->elements.assign(static_cast<size_t>(count), RespReply());
       size_t p = after;

@@ -27,6 +27,12 @@ namespace {
 constexpr int kMaxEpollEvents = 64;
 // Bounded blocking drain per worker during Shutdown().
 constexpr int kDrainTimeoutMs = 5000;
+constexpr int kListenBacklog = 511;
+// Upper bound on concurrently open connections; excess accepts are
+// closed immediately (counted in ServerStats::connections_rejected).
+constexpr uint64_t kMaxConnections = 10000;
+// Entries a SCAN command may return (COUNT is clamped to this).
+constexpr size_t kScanMaxEntries = 1000;
 
 std::string UpperVerb(const Slice& s) {
   std::string verb(s.data(), s.size());
@@ -167,7 +173,7 @@ Status Server::Listen() {
     return Status::IOError("server: bind(" + options_.bind_address + ":" +
                            std::to_string(options_.port) + ") failed: " + strerror(errno));
   }
-  if (listen(listen_fd_, options_.listen_backlog) != 0) {
+  if (listen(listen_fd_, kListenBacklog) != 0) {
     return Status::IOError(std::string("server: listen() failed: ") + strerror(errno));
   }
   sockaddr_in bound{};
@@ -210,15 +216,13 @@ void Server::AcceptorLoop() {
         }
         const uint64_t active = stats_.connections_accepted.load(std::memory_order_relaxed) -
                                 stats_.connections_closed.load(std::memory_order_relaxed);
-        if (active >= static_cast<uint64_t>(options_.max_connections)) {
+        if (active >= kMaxConnections) {
           stats_.connections_rejected.fetch_add(1, std::memory_order_relaxed);
           close(fd);
           continue;
         }
-        if (options_.tcp_nodelay) {
-          int one = 1;
-          setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-        }
+        int one = 1;
+        setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
         stats_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
         Worker* w = workers_[next_worker++ % workers_.size()].get();
         {
@@ -554,8 +558,8 @@ void Server::DispatchCommand(Connection* conn, const RespCommand& cmd) {
     if (!ok) {
       AppendWrongArity(&reply, verb);
     } else {
-      if (count == 0 || count > options_.scan_max_entries) {
-        count = options_.scan_max_entries;
+      if (count == 0 || count > kScanMaxEntries) {
+        count = kScanMaxEntries;
       }
       auto it = store_->NewScanIterator(ReadOptions(), cmd.args[1], cmd.args[2]);
       std::vector<std::pair<std::string, std::string>> rows;

@@ -53,15 +53,8 @@ struct ServerOptions {
   // affordable because one fsync covers a whole pipelined batch AND every
   // concurrently queued connection (DESIGN.md §10).
   bool sync_writes = false;
-  // Upper bound on concurrently open connections; excess accepts are
-  // closed immediately (counted in ServerStats::connections_rejected).
-  int max_connections = 10000;
-  // Entries a SCAN command may return (COUNT is clamped to this).
-  size_t scan_max_entries = 1000;
   // Protocol frame ceilings (oversized frames are protocol errors).
   RespLimits limits;
-  int listen_backlog = 511;
-  bool tcp_nodelay = true;
 };
 
 // Server-level counters, reported by GetStats() and the INFO command

@@ -157,19 +157,11 @@ TEST_F(PickerTest, TombstonesDropOnlyWhenOutputIsBottommost) {
   EXPECT_TRUE(job.drop_tombstones);
 }
 
-TEST(BloomBitsTest, DerivedLadderAndExplicitVector) {
-  // Empty vector: ladder derived from the default.
-  EXPECT_EQ(BloomBitsForLevel({}, 10, 0), 12);
-  EXPECT_EQ(BloomBitsForLevel({}, 10, 1), 12);
-  EXPECT_EQ(BloomBitsForLevel({}, 10, 2), 10);
-  EXPECT_EQ(BloomBitsForLevel({}, 10, 3), 10);
-  EXPECT_EQ(BloomBitsForLevel({}, 10, 4), 6);
-  EXPECT_EQ(BloomBitsForLevel({}, 6, 6), 5);  // floor at 5
-  // Explicit vector is authoritative; levels past its end reuse the last.
-  const std::vector<int> per_level = {14, 12, 8};
-  EXPECT_EQ(BloomBitsForLevel(per_level, 10, 0), 14);
-  EXPECT_EQ(BloomBitsForLevel(per_level, 10, 2), 8);
-  EXPECT_EQ(BloomBitsForLevel(per_level, 10, 6), 8);
+TEST(BloomBitsTest, FixedLadder) {
+  const int expected[] = {12, 12, 10, 10, 6, 6, 6};  // one per level of a default tree
+  for (int level = 0; level < 7; ++level) {
+    EXPECT_EQ(BloomBitsForLevel(level), expected[level]) << "level " << level;
+  }
 }
 
 TEST(CompactionThreadLimiterTest, BoundsConcurrency) {
@@ -433,15 +425,9 @@ TEST_F(CompactionTest, ReopenEquivalence) {
   CheckLevelInvariants();
 }
 
-TEST_F(CompactionTest, PerLevelBloomBitsValidatedAndApplied) {
+TEST_F(CompactionTest, PerLevelBloomBitsApplied) {
   MemEnv env;
-  DiskOptions options = SmallDisk(&env);
-  options.bloom_bits_per_level = {12, 0};
-  std::unique_ptr<DiskComponent> rejected;
-  EXPECT_FALSE(DiskComponent::Open(options, &rejected).ok());
-
-  options.bloom_bits_per_level = {14, 12, 8};
-  OpenDisk(options);
+  OpenDisk(SmallDisk(&env));
   FlushRange(0, 200, 1, "v");
   FlushRange(200, 400, 300, "v");
   FlushRange(400, 600, 600, "v");

@@ -1,5 +1,6 @@
-// Configuration-sweep (ablation) tests: every tuning knob DESIGN.md §4
-// calls out must preserve correctness — the same randomized workload
+// Configuration-sweep (ablation) tests: every FloDbOptions knob of the
+// memory component (Membuffer share, scan restarts, master reuse, drain
+// insert mode) must preserve correctness — the same randomized workload
 // passes against a reference model under every configuration, and the
 // mechanism-specific stats confirm the knob actually engaged.
 
@@ -31,11 +32,7 @@ std::string K(uint64_t i) { return EncodeKey(SpreadKey(i, kSpace)); }
 struct AblationConfig {
   const char* name;
   double membuffer_fraction = 0.25;
-  int partition_bits = 4;
-  int drain_threads = 1;
-  size_t drain_batch = 64;
   int restart_threshold = 3;
-  int piggyback_limit = 8;
   int master_reuse = 0;
   bool multi_insert = true;
 };
@@ -48,11 +45,7 @@ TEST_P(FloDBAblationTest, RandomizedWorkloadMatchesModel) {
   FloDbOptions options;
   options.memory_budget_bytes = 512 << 10;
   options.membuffer_fraction = ablation.membuffer_fraction;
-  options.membuffer_partition_bits = ablation.partition_bits;
-  options.drain_threads = ablation.drain_threads;
-  options.drain_batch = ablation.drain_batch;
   options.scan_restart_threshold = ablation.restart_threshold;
-  options.scan_piggyback_chain_limit = ablation.piggyback_limit;
   options.scan_master_reuse_limit = ablation.master_reuse;
   options.use_multi_insert = ablation.multi_insert;
   options.disk.env = &env;
@@ -111,13 +104,7 @@ INSTANTIATE_TEST_SUITE_P(
         AblationConfig{.name = "Defaults"},
         AblationConfig{.name = "TinyMembuffer", .membuffer_fraction = 0.05},
         AblationConfig{.name = "HugeMembuffer", .membuffer_fraction = 0.75},
-        AblationConfig{.name = "OnePartition", .partition_bits = 0},
-        AblationConfig{.name = "ManyPartitions", .partition_bits = 8},
-        AblationConfig{.name = "ThreeDrainers", .drain_threads = 3},
-        AblationConfig{.name = "TinyBatches", .drain_batch = 4},
-        AblationConfig{.name = "HugeBatches", .drain_batch = 1024},
         AblationConfig{.name = "HairTriggerFallback", .restart_threshold = 1},
-        AblationConfig{.name = "NoPiggyback", .piggyback_limit = 0},
         AblationConfig{.name = "SeqReuse", .master_reuse = 8},
         AblationConfig{.name = "SimpleInsertDrain", .multi_insert = false}),
     [](const ::testing::TestParamInfo<AblationConfig>& info) { return info.param.name; });
@@ -164,15 +151,15 @@ TEST(FloDBMembufferSplitTest, FractionControlsSpillRate) {
   // is the top key bits (§4.3), so they must reach every partition.
   constexpr uint64_t kKeys = 3000;
   constexpr size_t kBudget = 4 << 20;
-  const FloDbOptions defaults;
+  const MemBuffer::Options mbf_defaults;
   const std::string value(64, 'x');
   std::vector<std::string> keys;
   std::set<uint64_t> partitions;
   for (uint64_t i = 0; i < kKeys; ++i) {
     keys.push_back(EncodeKey(SpreadKey(i, kKeys)));
-    partitions.insert(DecodeKey(Slice(keys.back())) >> (64 - defaults.membuffer_partition_bits));
+    partitions.insert(DecodeKey(Slice(keys.back())) >> (64 - mbf_defaults.partition_bits));
   }
-  ASSERT_EQ(partitions.size(), uint64_t{1} << defaults.membuffer_partition_bits);
+  ASSERT_EQ(partitions.size(), uint64_t{1} << mbf_defaults.partition_bits);
 
   // Draining only ever frees Membuffer room, so a store's spills are
   // bounded by those of an equally sized Membuffer that is never drained.
@@ -180,8 +167,6 @@ TEST(FloDBMembufferSplitTest, FractionControlsSpillRate) {
   auto undrained_spills = [&](double fraction) {
     MemBuffer::Options mo;
     mo.capacity_bytes = static_cast<size_t>(static_cast<double>(kBudget) * fraction);
-    mo.partition_bits = defaults.membuffer_partition_bits;
-    mo.avg_entry_bytes_hint = defaults.membuffer_avg_entry_hint;
     MemBuffer mbf(mo);
     uint64_t spills = 0;
     for (const std::string& key : keys) {

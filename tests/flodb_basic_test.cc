@@ -24,7 +24,6 @@ class FloDBTest : public ::testing::Test {
     FloDbOptions options;
     options.memory_budget_bytes = 1 << 20;
     options.membuffer_fraction = 0.25;
-    options.drain_threads = 1;
     options.disk.env = &env_;
     options.disk.path = "/db";
     options.disk.l1_max_bytes = 64 << 10;
@@ -205,21 +204,6 @@ TEST_F(FloDBTest, NoPersistenceModeDropsToDiskNothing) {
   }
   const StoreStats stats = db_->GetStats();
   EXPECT_EQ(stats.disk.flushes, 0u);
-}
-
-TEST_F(FloDBTest, MultipleDrainThreads) {
-  FloDbOptions options = SmallOptions();
-  options.drain_threads = 3;
-  Open(options);
-  for (uint64_t i = 0; i < 2000; ++i) {
-    ASSERT_TRUE(db_->Put(Slice(K(i)), Slice("v" + std::to_string(i))).ok());
-  }
-  db_->WaitUntilDrained();
-  std::string value;
-  for (uint64_t i = 0; i < 2000; i += 97) {
-    ASSERT_TRUE(db_->Get(Slice(K(i)), &value).ok()) << i;
-    EXPECT_EQ(value, "v" + std::to_string(i));
-  }
 }
 
 TEST_F(FloDBTest, StatsAreCounted) {

@@ -29,7 +29,6 @@ std::string K(uint64_t i) { return EncodeKey(SpreadKey(i, kSpace)); }
 FloDbOptions StressOptions(Env* env) {
   FloDbOptions options;
   options.memory_budget_bytes = 512 << 10;  // small: forces constant persists
-  options.drain_threads = 1;
   options.disk.env = env;
   options.disk.path = "/db";
   options.disk.sstable_target_bytes = 16 << 10;

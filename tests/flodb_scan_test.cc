@@ -29,7 +29,6 @@ class FloDBScanTest : public ::testing::Test {
   FloDbOptions SmallOptions() {
     FloDbOptions options;
     options.memory_budget_bytes = 1 << 20;
-    options.drain_threads = 1;
     options.disk.env = &env_;
     options.disk.path = "/db";
     options.disk.sstable_target_bytes = 32 << 10;

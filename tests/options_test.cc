@@ -21,7 +21,6 @@ class OptionsTest : public ::testing::Test {
     FloDbOptions options;
     options.memory_budget_bytes = 1 << 20;
     options.membuffer_fraction = 0.25;
-    options.drain_threads = 1;
     options.disk.env = &env_;
     options.disk.path = "/db";
     return options;
@@ -73,26 +72,6 @@ TEST_F(OptionsTest, MembufferFractionJustInsideRangeAccepted) {
   EXPECT_TRUE(Open(options).ok());
   options.membuffer_fraction = 0.99;
   EXPECT_TRUE(Open(options).ok());
-}
-
-TEST_F(OptionsTest, ZeroDrainThreadsClampedToOne) {
-  // The seed contract (relied on by flodb_ablation_test): 0 means "let
-  // StartBackgroundThreads clamp to one thread", and draining still works.
-  FloDbOptions options = ValidOptions();
-  options.drain_threads = 0;
-  std::unique_ptr<FloDB> db;
-  ASSERT_TRUE(FloDB::Open(options, &db).ok());
-  ASSERT_TRUE(db->Put(Slice("key"), Slice("value")).ok());
-  db->WaitUntilDrained();
-  std::string value;
-  ASSERT_TRUE(db->Get(Slice("key"), &value).ok());
-  EXPECT_EQ(value, "value");
-}
-
-TEST_F(OptionsTest, NegativeDrainThreadsRejected) {
-  FloDbOptions options = ValidOptions();
-  options.drain_threads = -2;
-  EXPECT_TRUE(Open(options).IsInvalidArgument());
 }
 
 TEST_F(OptionsTest, PersistenceWithoutEnvRejected) {
@@ -169,25 +148,6 @@ TEST_F(OptionsTest, ZeroTableCacheEntriesRejected) {
   std::unique_ptr<ShardedKVStore> sharded;
   options.shards = 2;
   EXPECT_TRUE(ShardedKVStore::Open(options, &sharded).IsInvalidArgument());
-}
-
-TEST_F(OptionsTest, ZeroBloomBitsPerLevelEntryRejected) {
-  // A zero entry would silently disable the filter for one level; the
-  // way to spend fewer bits on cold levels is a small positive value.
-  FloDbOptions options = ValidOptions();
-  options.disk.bloom_bits_per_level = {12, 10, 0};
-  EXPECT_TRUE(Open(options).IsInvalidArgument());
-  options.shards = 2;
-  std::unique_ptr<ShardedKVStore> sharded;
-  EXPECT_TRUE(ShardedKVStore::Open(options, &sharded).IsInvalidArgument());
-}
-
-TEST_F(OptionsTest, PerLevelBloomBitsAccepted) {
-  // Shorter-than-num_levels vectors are fine: deeper levels reuse the
-  // last entry (see BloomBitsForLevel).
-  FloDbOptions options = ValidOptions();
-  options.disk.bloom_bits_per_level = {14, 12, 8};
-  EXPECT_TRUE(Open(options).ok());
 }
 
 TEST_F(OptionsTest, ShardedOpenInstallsSharedCompactionLimiter) {

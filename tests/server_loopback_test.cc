@@ -1,11 +1,16 @@
 // Server: RESP command round-trips over real loopback sockets, pipelined
 // bursts folding into grouped WriteBatch commits, protocol-error
 // handling, concurrent connections, and the drain-on-shutdown durability
-// guarantee (acked sync writes survive a reopen).
+// guarantee (acked sync writes survive a reopen), and the client's
+// handling of a hostile reply header.
 
 #include "flodb/net/server.h"
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <memory>
@@ -336,6 +341,36 @@ TEST(ServerLoopbackTest, ShutdownIsIdempotent) {
   ts.server->Shutdown();
   const ServerStats stats = ts.server->GetStats();
   EXPECT_EQ(stats.ConnectionsActive(), 0u);
+}
+
+TEST(ServerLoopbackTest, ClientRejectsHugeArrayHeaderWithoutAllocating) {
+  // A raw socket stands in for a hostile server: on accept it sends an
+  // array header claiming 2^40 elements, no element bytes, and closes.
+  const int listen_fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(listen_fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(listen(listen_fd, 1), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  std::thread fake_server([listen_fd] {
+    const int fd = accept(listen_fd, nullptr, nullptr);
+    if (fd >= 0) {
+      const std::string header = "*1099511627776\r\n";
+      EXPECT_EQ(send(fd, header.data(), header.size(), MSG_NOSIGNAL),
+                static_cast<ssize_t>(header.size()));
+      close(fd);
+    }
+  });
+
+  RespClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", ntohs(addr.sin_port)).ok());
+  RespReply reply;
+  EXPECT_FALSE(client.ReadReply(&reply).ok());
+  fake_server.join();
+  close(listen_fd);
 }
 
 }  // namespace

@@ -7,13 +7,13 @@
 // "(error) ...", numbered array elements.
 
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "flodb/net/resp_client.h"
+#include "int_flag.h"
 
 namespace {
 
@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
     if (arg == "-h" && i + 1 < argc) {
       host = argv[++i];
     } else if (arg == "-p" && i + 1 < argc) {
-      port = std::atoi(argv[++i]);
+      port = static_cast<int>(IntFlagOrExit("-p", argv[++i], 1, 65535));
     } else if (arg == "--help") {
       std::fprintf(stderr, "usage: %s [-h host] [-p port] [COMMAND [args...]]\n", argv[0]);
       return 0;

@@ -13,6 +13,7 @@
 // in-flight replies, close the store cleanly, exit 0.
 
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -23,6 +24,7 @@
 #include "flodb/core/sharded_store.h"
 #include "flodb/disk/env.h"
 #include "flodb/net/server.h"
+#include "int_flag.h"
 
 namespace {
 
@@ -48,7 +50,7 @@ int main(int argc, char** argv) {
   int port = 6399;
   int workers = 0;
   int shards = 1;
-  long memory_mb = 64;
+  long long memory_mb = 64;
   bool sync_writes = false;
   bool enable_wal = true;
 
@@ -64,15 +66,18 @@ int main(int argc, char** argv) {
     if (arg == "--db") {
       db_path = next("--db");
     } else if (arg == "--port") {
-      port = std::atoi(next("--port"));
+      port = static_cast<int>(IntFlagOrExit("--port", next("--port"), 0, 65535));
     } else if (arg == "--bind") {
       bind_address = next("--bind");
     } else if (arg == "--workers") {
-      workers = std::atoi(next("--workers"));
+      workers = static_cast<int>(IntFlagOrExit("--workers", next("--workers"), 0, 1024));
     } else if (arg == "--shards") {
-      shards = std::atoi(next("--shards"));
+      shards = static_cast<int>(
+          IntFlagOrExit("--shards", next("--shards"), 1, flodb::ShardedKVStore::kMaxShards));
     } else if (arg == "--memory-mb") {
-      memory_mb = std::atol(next("--memory-mb"));
+      // Capped so the byte budget (memory_mb << 20) cannot overflow.
+      memory_mb = IntFlagOrExit("--memory-mb", next("--memory-mb"), 1,
+                                static_cast<long long>(SIZE_MAX >> 20));
     } else if (arg == "--sync") {
       sync_writes = true;
     } else if (arg == "--no-wal") {
