@@ -8,8 +8,9 @@
 // With FLODB_BENCH_SHARDS listing counts > 1, each such count adds a
 // FloDB-sharded-2pc column: straddling batches pay per-shard prepares
 // plus a commit marker (DESIGN.md §8). CI gates it against the unsharded
-// FloDB column for batches >= 64 (ci/check_2pc_overhead.py), where the
-// prepare/marker cost is amortized over the batch.
+// FloDB column for batches >= 64 (the fig_batch_write entry of
+// ci/gates.json), where the prepare/marker cost is amortized over the
+// batch.
 //
 // Env knobs (bench_common.h): FLODB_BENCH_SECONDS, FLODB_BENCH_THREADS,
 // FLODB_BENCH_KEYS, FLODB_BENCH_VALUE, FLODB_BENCH_MEMORY,

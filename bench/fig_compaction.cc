@@ -9,8 +9,8 @@
 //      the quiesced steady state;
 //   2. read-under-churn — one writer keeps overwriting while the same
 //      number of reader threads issue point Gets; read mops is the
-//      number CI gates (ci/check_write_amp.py also bounds both
-//      amplification factors).
+//      number CI gates (the fig_compaction entry of ci/gates.json also
+//      bounds both amplification factors).
 //
 // Without leveled compaction this workload degrades without bound: every
 // overwrite round adds a full copy of the key space (space-amp ~= number

@@ -18,8 +18,8 @@
 // Separation pays off exactly here: churn compactions move ~30-byte
 // pointers instead of 1KB payloads, so churn write-amp collapses, while
 // the extra vlog hop costs reads a bounded constant.
-// ci/check_large_skew.py gates the separated/inline write-amp ratio and
-// the p99 ratio.
+// The fig_large_skew entry of ci/gates.json gates the separated/inline
+// write-amp ratio and the p99 ratio.
 //
 // Env knobs (bench_common.h): FLODB_BENCH_SECONDS, FLODB_BENCH_KEYS
 // (default sizes the dataset to ~10x memory), FLODB_BENCH_VALUE
@@ -184,8 +184,8 @@ int main(int argc, char** argv) {
                 Report::Fmt(reads_per_sec, 1), Report::Fmt(p50_us, 1), Report::Fmt(p99_us, 1)});
     if (json) {
       // Mode-suffixed store labels (the fig10 "FloDB-nocache" idiom) so
-      // check_bench_regression.py's (store, threads, shards) key keeps
-      // the two rows distinct.
+      // the baseline gate's (store, threads, shards) join keeps the two
+      // rows distinct.
       report.JsonRow(
           {{"store", threshold == 0 ? "FloDB-inline" : "FloDB-vlog"}, {"mode", mode}},
           {{"threads", 1.0},

@@ -7,7 +7,8 @@
 // uniform column needs the cache to approach the dataset size.
 //
 // JSON rows (one per cell) carry mops + the measured block-cache hit
-// rate; ci/check_cache_hit_rate.py gates the zipfian hit rate in CI.
+// rate; the fig_read_cached entry of ci/gates.json gates the zipfian hit
+// rate in CI.
 
 #include "bench_common.h"
 

@@ -8,8 +8,8 @@
 // Expected shape: one writer pays one fsync per write; more writers share
 // each fsync, so throughput scales with the writer count until the fsync
 // is amortized away. CI gates the 8-writer rate at >= 2x the 1-writer
-// rate with <= 0.5 syncs/write (ci/check_group_commit.py), plus a
-// conservative absolute floor (ci/bench_baselines/).
+// rate with <= 0.5 syncs/write, plus a conservative absolute floor
+// (ci/bench_baselines/); the fig_sync_write entry of ci/gates.json.
 //
 // Env knobs (bench_common.h): FLODB_BENCH_SECONDS, FLODB_BENCH_THREADS
 // (default "1,2,4,8" here), FLODB_BENCH_KEYS, FLODB_BENCH_VALUE.

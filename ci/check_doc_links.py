@@ -11,12 +11,18 @@ It also catches stale knob docs: in every BUILDING.md table whose header
 row starts with `| Knob`, each backticked name in the first column must
 be declared as a field in some src/flodb/**/*.h header.
 
+And it catches stale path mentions: in BUILDING.md, DESIGN.md and
+docs/*.md, every backticked repo path — one under a top-level repo
+directory, ending in a file extension, with an optional :line suffix —
+must match a file once globs are expanded.
+
 Usage:
     check_doc_links.py [repo_root]
 
 Stdlib only: CI must not pip install anything.
 """
 
+import glob
 import os
 import re
 import sys
@@ -90,6 +96,27 @@ def stale_knobs(root):
     return stale
 
 
+# `top/dir/name.ext`, `top/*.ext` or `top/name.ext:123`; the extension
+# keeps extensionless names such as `bench/micro_datastructures` out.
+PATH_RE = re.compile(r"`(\.?\w[\w.-]*/[\w*./-]*\.\w+)(?::[\d-]+)?`")
+
+
+def stale_paths(root):
+    """Backticked repo paths in BUILDING.md, DESIGN.md and docs/*.md that
+    match no file."""
+    stale = []
+    docs = ["BUILDING.md", "DESIGN.md"] + sorted(
+        os.path.relpath(p, root) for p in glob.glob(os.path.join(root, "docs", "*.md")))
+    for rel in docs:
+        with open(os.path.join(root, rel), encoding="utf-8") as f:
+            text = f.read()
+        for path in sorted(set(PATH_RE.findall(text))):
+            top = path.split("/")[0]
+            if os.path.isdir(os.path.join(root, top)) and not glob.glob(os.path.join(root, path)):
+                stale.append(f"{rel}: `{path}` matches no file")
+    return stale
+
+
 def doc_files(root):
     for name in sorted(os.listdir(root)):
         if name.endswith(".md"):
@@ -145,13 +172,14 @@ def main():
                 failures.append(f"{rel}: dead anchor -> {raw}")
 
     failures.extend(stale_knobs(root))
+    failures.extend(stale_paths(root))
 
     if failures:
         for failure in failures:
             print("FAIL: " + failure)
         return 1
     print(f"PASS: {checked} relative doc links and {anchors_checked} anchors resolve; "
-          "every documented knob is a declared field")
+          "every documented knob is a declared field and every named repo path exists")
     return 0
 
 

@@ -4,7 +4,7 @@
 // attached (`--json out.json` on the bench command line, or the
 // FLODB_BENCH_JSON environment variable), the same data also lands in a
 // {"figure": ..., "rows": [...]} file for CI perf tracking
-// (ci/check_bench_regression.py consumes it).
+// (ci/check_gates.py checks it against the gates in ci/gates.json).
 
 #ifndef FLODB_BENCH_UTIL_REPORT_H_
 #define FLODB_BENCH_UTIL_REPORT_H_

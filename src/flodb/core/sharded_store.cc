@@ -661,6 +661,12 @@ StoreStats ShardedKVStore::GetStats() const {
     for (size_t l = 0; l < s.disk.files_per_level.size(); ++l) {
       total.disk.files_per_level[l] += s.disk.files_per_level[l];
     }
+    if (total.disk.bytes_per_level.size() < s.disk.bytes_per_level.size()) {
+      total.disk.bytes_per_level.resize(s.disk.bytes_per_level.size(), 0);
+    }
+    for (size_t l = 0; l < s.disk.bytes_per_level.size(); ++l) {
+      total.disk.bytes_per_level[l] += s.disk.bytes_per_level[l];
+    }
   }
   // Router-level transaction counters (not owned by any shard).
   total.txn_commits += txn_commits_.load(std::memory_order_relaxed);

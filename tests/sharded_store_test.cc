@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <string>
@@ -526,6 +527,48 @@ TEST(ShardedStoreTest, SingleShardStatParityWithPlainFloDB) {
   // op-count surface above is.
   EXPECT_EQ(a.membuffer_adds + a.memtable_direct_adds,
             b.membuffer_adds + b.memtable_direct_adds);
+  // The disk shape after FlushAll is the same too, level by level. Byte
+  // counts differ by the shadowed versions that drain timing leaves in the
+  // flushed table, so only which levels hold bytes must match.
+  EXPECT_EQ(a.disk.files_per_level, b.disk.files_per_level);
+  ASSERT_EQ(a.disk.bytes_per_level.size(), b.disk.bytes_per_level.size());
+  for (size_t l = 0; l < a.disk.bytes_per_level.size(); ++l) {
+    EXPECT_EQ(a.disk.bytes_per_level[l] > 0, b.disk.bytes_per_level[l] > 0) << "level " << l;
+  }
+}
+
+// The router's per-level rollup is the sum over its shards, so space-amp
+// computed from a sharded store sees every shard's bytes.
+TEST(ShardedStoreTest, PerLevelStatsSumOverShards) {
+  MemEnv env;
+  std::unique_ptr<ShardedKVStore> store;
+  ASSERT_TRUE(OpenSharded(BaseOptions(&env, 4), &store).ok());
+  for (uint64_t i = 0; i < 4096; ++i) {
+    ASSERT_TRUE(store->Put(Slice(K(i * (kKeySpace / 4096))), Slice("v")).ok());
+  }
+  ASSERT_TRUE(store->FlushAll().ok());
+
+  std::vector<int> files;
+  std::vector<uint64_t> bytes;
+  for (int s = 0; s < store->NumShards(); ++s) {
+    const StoreStats shard = store->ShardStats(s);
+    files.resize(std::max(files.size(), shard.disk.files_per_level.size()), 0);
+    bytes.resize(std::max(bytes.size(), shard.disk.bytes_per_level.size()), 0);
+    for (size_t l = 0; l < shard.disk.files_per_level.size(); ++l) {
+      files[l] += shard.disk.files_per_level[l];
+    }
+    for (size_t l = 0; l < shard.disk.bytes_per_level.size(); ++l) {
+      bytes[l] += shard.disk.bytes_per_level[l];
+    }
+  }
+  const StoreStats total = store->GetStats();
+  EXPECT_EQ(total.disk.files_per_level, files);
+  EXPECT_EQ(total.disk.bytes_per_level, bytes);
+  uint64_t on_disk = 0;
+  for (const uint64_t b : total.disk.bytes_per_level) {
+    on_disk += b;
+  }
+  EXPECT_GT(on_disk, 0u);
 }
 
 // ---------------------------------------------------------------------------
