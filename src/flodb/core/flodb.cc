@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
+#include <functional>
 #include <thread>
 
 #include "flodb/core/memtable_iterator.h"
@@ -30,7 +31,13 @@ size_t ComputeMemtableTarget(const FloDbOptions& options) {
 }  // namespace
 
 FloDB::FloDB(const FloDbOptions& options)
-    : options_(options), memtable_target_bytes_(ComputeMemtableTarget(options)) {}
+    : options_(options),
+      memtable_target_bytes_(ComputeMemtableTarget(options)),
+      // The value log syncs ahead of every WAL fsync: a group's records may
+      // point into vlog bytes still in the OS page cache (docs/STORAGE.md
+      // §10). disk_ exists whenever the WAL is open.
+      wal_(options.disk.env, std::bind_front(&FloDB::WalFileName, this),
+           [this] { return disk_->SyncValueLog(); }) {}
 
 MemBuffer* FloDB::NewMembuffer() const {
   MemBuffer::Options mo;
@@ -122,15 +129,7 @@ Status FloDB::Open(const FloDbOptions& options, CrossShardTxnRecovery* txn_recov
 
 FloDB::~FloDB() {
   StopBackgroundThreads();
-  if (wal_ != nullptr) {
-    if (disk_ != nullptr && disk_->SeparationEnabled()) {
-      // Sync-ordering invariant: no durable WAL record may reference
-      // vlog bytes that did not reach disk (docs/STORAGE.md §10).
-      disk_->SyncValueLog();
-    }
-    wal_->Sync();
-    wal_->Close();
-  }
+  wal_.Close();
   delete mbf_.load(std::memory_order_relaxed);
   delete imm_mbf_.load(std::memory_order_relaxed);
   delete mtb_.load(std::memory_order_relaxed);
@@ -224,6 +223,69 @@ Status FloDB::SeparateLargeValues(WriteBatch* batch, WriteBatch* shadow,
   return Status::OK();
 }
 
+void FloDB::PendingWrite::Release() {
+  if (db == nullptr) {
+    return;
+  }
+  if (token_slot >= 0) {
+    db->wal_.ReleaseToken(token_slot);
+    token_slot = -1;
+  }
+  for (uint64_t file : vlog_pins) {
+    db->disk_->UnpinVlogFile(file);
+  }
+  vlog_pins.clear();
+}
+
+Status FloDB::LogBatch(const WriteOptions& options, WriteBatch* batch, uint64_t txn_id,
+                       const Slice& participants, PendingWrite* pending) {
+  pending->db = this;
+  pending->batch = batch;
+  // Value separation: rewrite qualifying values as vlog pointers first;
+  // *pending pins the touched vlog files until the batch lands in memory.
+  if (disk_ != nullptr && disk_->SeparationEnabled()) {
+    Status s = SeparateLargeValues(batch, &pending->shadow, &pending->vlog_pins, &pending->batch);
+    if (!s.ok()) {
+      return s;
+    }
+  }
+  if (!options_.enable_wal) {
+    return Status::OK();
+  }
+  // A malformed rep must fail here, not poison the WAL for the next
+  // recovery.
+  Status s = pending->batch->ForEach([](const Slice&, const Slice&, ValueType) {});
+  if (!s.ok()) {
+    return s;
+  }
+  WaitForMemtableHeadroom();
+  // One WAL record for the whole batch — the group-commit amortization,
+  // and the unit of all-or-nothing crash recovery. On success this writer
+  // holds an apply token that the persist thread's pre-swap drain waits
+  // on, until *pending is released.
+  const uint32_t count = static_cast<uint32_t>(pending->batch->Count());
+  const Slice rep(pending->batch->rep());
+  const bool prepare = txn_id != 0;
+  s = wal_.Commit(prepare ? WalRecord::Prepare(txn_id, participants, count, rep)
+                          : WalRecord::Batch(count, rep),
+                  options.sync || prepare, &pending->token_slot);
+  if (!s.ok()) {
+    // This write failed for good; kick the repair path so FUTURE writes
+    // can succeed even in configurations without drain threads (the
+    // usual healer) — e.g. enable_membuffer = false.
+    wal_.Repair();
+    return s;
+  }
+  if (options.fill_stats) {
+    // Gated like the other batch counters so the amortization ratio
+    // (batch_entries / wal_batch_records) stays coherent when a caller
+    // suppresses stats. Prepares count separately: they are transaction
+    // machinery, not user batch records.
+    (prepare ? txn_prepares_ : wal_batch_records_).fetch_add(1, std::memory_order_relaxed);
+  }
+  return Status::OK();
+}
+
 Status FloDB::Write(const WriteOptions& options, WriteBatch* batch) {
   if (batch == nullptr) {
     return Status::InvalidArgument("null write batch");
@@ -231,101 +293,33 @@ Status FloDB::Write(const WriteOptions& options, WriteBatch* batch) {
   if (batch->Empty()) {
     return Status::OK();
   }
-
-  // Value separation: rewrite qualifying values as vlog pointers first,
-  // holding a pin on the touched vlog files until the batch lands in the
-  // memory component (or fails for good) so GC cannot retire them while
-  // the only reference is on this stack.
-  WriteBatch shadow;
-  std::vector<uint64_t> vlog_pins;
-  WriteBatch* commit = batch;
-  struct PinRelease {
-    FloDB* db;
-    std::vector<uint64_t>* pins;
-    ~PinRelease() {
-      for (uint64_t file : *pins) {
-        db->disk_->UnpinVlogFile(file);
-      }
-    }
-  } pin_release{this, &vlog_pins};
-  if (disk_ != nullptr && disk_->SeparationEnabled()) {
-    Status s = SeparateLargeValues(batch, &shadow, &vlog_pins, &commit);
-    if (!s.ok()) {
-      return s;
-    }
+  PendingWrite pending;
+  Status s = LogBatch(options, batch, /*txn_id=*/0, Slice(), &pending);
+  if (!s.ok()) {
+    return s;
   }
-
-  // One WAL record for the whole batch — the group-commit amortization,
-  // and the unit of all-or-nothing crash recovery. WalCommit runs the
-  // writer queue: one leader appends every queued record and one Sync
-  // covers all the group's sync writers (DESIGN.md §10). On success this
-  // writer holds an apply token that the persist thread's pre-swap drain
-  // waits on; ApplyBatchToMemory releases it on every path out.
-  int token_slot = -1;
-  if (options_.enable_wal) {
-    // Validate the rep BEFORE logging it: a malformed batch must fail
-    // here, not poison the WAL for the next recovery.
-    Status s = commit->ForEach([](const Slice&, const Slice&, ValueType) {});
-    if (!s.ok()) {
-      return s;
-    }
-    WaitForMemtableHeadroom();
-    s = WalCommit(options, commit, &token_slot);
-    if (!s.ok()) {
-      // This write failed for good; kick the repair path so FUTURE writes
-      // can succeed even in configurations without drain threads (the
-      // usual healer) — e.g. enable_membuffer = false.
-      TryReopenWal();
-      return s;
-    }
-  }
-  return ApplyBatchToMemory(options, commit, token_slot);
+  return ApplyBatchToMemory(options, pending.batch, pending.token_slot);
 }
 
 Status FloDB::PrepareBatch(const WriteOptions& options, WriteBatch* batch, uint64_t txn_id,
-                           const Slice& participants, int* token_slot) {
-  *token_slot = -1;
+                           const Slice& participants, PendingWrite* pending) {
   if (batch == nullptr || batch->Empty()) {
     return Status::InvalidArgument("cross-shard prepare requires a non-empty batch");
   }
   if (!options_.enable_wal) {
     return Status::InvalidArgument("cross-shard prepare requires enable_wal");
   }
-  Status v = batch->ForEach([](const Slice&, const Slice&, ValueType) {});
-  if (!v.ok()) {
-    return v;
-  }
-  WaitForMemtableHeadroom();
-  Status s = WalCommit(options, batch, token_slot, txn_id, participants);
-  if (!s.ok()) {
-    TryReopenWal();
-  }
+  return LogBatch(options, batch, txn_id, participants, pending);
+}
+
+Status FloDB::ApplyPreparedBatch(const WriteOptions& options, PendingWrite* pending) {
+  Status s = ApplyBatchToMemory(options, pending->batch, pending->token_slot);
+  pending->Release();
   return s;
-}
-
-Status FloDB::ApplyPreparedBatch(const WriteOptions& options, WriteBatch* batch,
-                                 int token_slot) {
-  return ApplyBatchToMemory(options, batch, token_slot);
-}
-
-void FloDB::AbandonPrepare(int token_slot) {
-  if (token_slot >= 0) {
-    inflight_wal_applies_[token_slot].fetch_sub(1, std::memory_order_release);
-  }
 }
 
 Status FloDB::ApplyBatchToMemory(const WriteOptions& options, WriteBatch* batch,
                                  int token_slot) {
-  struct ApplyTokenRelease {
-    FloDB* db;
-    int slot;
-    ~ApplyTokenRelease() {
-      if (slot >= 0) {
-        db->inflight_wal_applies_[slot].fetch_sub(1, std::memory_order_release);
-      }
-    }
-  } token_release{this, token_slot};
-
   // Decode once up front; every retry round below reuses the refs.
   thread_local std::vector<BatchEntryRef> entries;
   entries.clear();
@@ -438,153 +432,6 @@ Status FloDB::ApplyBatchToMemory(const WriteOptions& options, WriteBatch* batch,
     }
     return Status::OK();
   }
-}
-
-// The group-commit fsync pipeline (DESIGN.md §10), in the LevelDB
-// writer-queue mold. Every Write queues a WalWaiter; the queue's front is
-// the LEADER. The leader appends the batch record of every queued writer,
-// issues at most ONE Sync — covering every sync writer in the group —
-// then marks the whole group done and hands leadership to the next
-// queued writer. Concurrent sync writers therefore share one fsync
-// instead of serializing one each, while followers never touch the file
-// at all.
-Status FloDB::WalCommit(const WriteOptions& options, WriteBatch* batch, int* token_slot,
-                        uint64_t txn_id, const Slice& participants) {
-  WalWaiter me;
-  me.rep = Slice(batch->rep());
-  me.count = static_cast<uint32_t>(batch->Count());
-  me.sync = options.sync;
-  me.fill_stats = options.fill_stats;
-  if (txn_id != 0) {
-    // Cross-shard prepare: the record carries the txn header, and it is
-    // ALWAYS fsync'd regardless of options.sync — the router's commit
-    // marker implies every participant's prepare is durable, so a marker
-    // must never reach disk ahead of this record.
-    me.prepare = true;
-    me.txn_id = txn_id;
-    me.participants = participants;
-    me.sync = true;
-  }
-
-  // Explicit lock()/unlock() pairing (not MutexLock): the leader drops
-  // wal_mu_ mid-scope for the Append+Sync phase, and the analysis checks
-  // the manual pairing on every branch.
-  wal_mu_.lock();
-  wal_queue_.push_back(&me);
-  while (!me.done && wal_queue_.front() != &me) {
-    wal_cv_.Wait(wal_mu_);
-  }
-  if (me.done) {
-    // A leader committed this batch as part of its group. `me` is ours
-    // alone again (the leader erased it from the queue before setting
-    // done under wal_mu_), so its fields are safe to read unlocked.
-    wal_mu_.unlock();
-    *token_slot = me.token_slot;
-    return me.status;
-  }
-
-  // Leader: snapshot the whole queue as the group.
-  std::vector<WalWaiter*> group(wal_queue_.begin(), wal_queue_.end());
-
-  // A broken WAL (failed rotation, or an earlier append/sync failure)
-  // fails the whole group: appending to a closed or half-written log
-  // would fake durability. Repair happens on the next drain cycle.
-  Status broken = wal_status_;
-  if (broken.ok() && wal_ == nullptr) {
-    broken = Status::IOError("WAL is not open");
-  }
-
-  size_t appended = 0;
-  bool group_has_sync = false;
-  Status append_error;
-  Status sync_error;
-  if (broken.ok()) {
-    // IO happens WITHOUT wal_mu_ — followers must be able to enqueue
-    // behind a slow fsync, or no group larger than one would ever form.
-    // wal_leader_busy_ keeps rotation/repair from swapping the log out
-    // from under us; the queue front keeps new arrivals followers.
-    WalWriter* wal = wal_.get();
-    wal_leader_busy_ = true;
-    wal_mu_.unlock();
-    for (WalWaiter* w : group) {
-      Status s = w->prepare ? wal->AddPrepare(w->txn_id, w->participants, w->count, w->rep)
-                            : wal->AddBatch(w->count, w->rep);
-      if (!s.ok()) {
-        append_error = s;
-        break;
-      }
-      ++appended;
-      group_has_sync = group_has_sync || w->sync;
-    }
-    if (appended > 0 && group_has_sync) {
-      // Value-log-before-WAL sync order (docs/STORAGE.md §10): records in
-      // this group may hold pointers into vlog bytes still in the OS page
-      // cache; the pointers must never outlive their targets across a
-      // power cut, so the vlog reaches disk first. No-op when the vlog
-      // has no unsynced appends.
-      if (disk_ != nullptr && disk_->SeparationEnabled()) {
-        sync_error = disk_->SyncValueLog();
-      }
-      wal_syncs_.fetch_add(1, std::memory_order_relaxed);
-      if (sync_error.ok()) {
-        sync_error = wal->Sync();
-      }
-    }
-    wal_mu_.lock();
-    wal_leader_busy_ = false;
-  }
-  if (!append_error.ok() || !sync_error.ok()) {
-    // Unknown tail state: stop accepting writes until the next drain
-    // cycle retires this log and opens a fresh one (TryReopenWal).
-    wal_status_ = append_error.ok() ? sync_error : append_error;
-    wal_broken_.store(true, std::memory_order_release);
-  }
-
-  // Commit results. A writer's record is durable-ordered once appended
-  // (and synced, if it asked): those take an apply token in the current
-  // epoch's slot — under wal_mu_, so a concurrent rotation either sees
-  // the token or has already moved the epoch past us. Sync writers whose
-  // fsync failed get the error and do NOT apply; their record may still
-  // replay after a crash, which is the usual contract for unacknowledged
-  // writes.
-  const int slot = static_cast<int>(wal_epoch_ & 1);
-  uint64_t committed = 0;
-  for (size_t i = 0; i < group.size(); ++i) {
-    WalWaiter* w = group[i];
-    if (!broken.ok()) {
-      w->status = broken;
-    } else if (i >= appended) {
-      w->status = append_error;
-    } else if (w->sync && !sync_error.ok()) {
-      w->status = sync_error;
-    } else {
-      w->status = Status::OK();
-      w->token_slot = slot;
-      ++committed;
-      inflight_wal_applies_[slot].fetch_add(1, std::memory_order_relaxed);
-      if (w->fill_stats) {
-        // Gated like the other batch counters so the amortization ratio
-        // (batch_entries / wal_batch_records) stays coherent when a
-        // caller suppresses stats. Prepares count separately: they are
-        // transaction machinery, not user batch records.
-        (w->prepare ? txn_prepares_ : wal_batch_records_)
-            .fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    w->done = true;
-  }
-  if (committed > 0) {
-    // Only committed writers count: an amortization ratio inflated by
-    // failed groups would read as great coalescing during an outage.
-    group_commit_groups_.fetch_add(1, std::memory_order_relaxed);
-    group_commit_writers_.fetch_add(committed, std::memory_order_relaxed);
-  }
-  wal_queue_.erase(wal_queue_.begin(), wal_queue_.begin() + static_cast<ptrdiff_t>(group.size()));
-  wal_mu_.unlock();
-  // Wake the group's followers and the next leader.
-  wal_cv_.SignalAll();
-  *token_slot = me.token_slot;
-  return me.status;
 }
 
 Status FloDB::Get(const ReadOptions& options, const Slice& key, std::string* value) {
@@ -784,9 +631,9 @@ StoreStats FloDB::GetStats() const {
   stats.master_scans = master_scans_.load(std::memory_order_relaxed);
   stats.piggyback_scans = piggyback_scans_.load(std::memory_order_relaxed);
   stats.membuffer_rotations = membuffer_rotations_.load(std::memory_order_relaxed);
-  stats.wal_syncs = wal_syncs_.load(std::memory_order_relaxed);
-  stats.group_commit_groups = group_commit_groups_.load(std::memory_order_relaxed);
-  stats.group_commit_writers = group_commit_writers_.load(std::memory_order_relaxed);
+  stats.wal_syncs = wal_.syncs();
+  stats.group_commit_groups = wal_.groups();
+  stats.group_commit_writers = wal_.committed_writers();
   stats.persist_failures = persist_failures_.load(std::memory_order_relaxed);
   stats.txn_prepares = txn_prepares_.load(std::memory_order_relaxed);
   stats.orphaned_prepares = orphaned_prepares_.load(std::memory_order_relaxed);

@@ -34,7 +34,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <deque>
 #include <map>
 #include <memory>
 #include <set>
@@ -224,67 +223,65 @@ class FloDB final : public KVStore {
 
   // ---- durability pipeline (DESIGN.md §10) ----
 
-  // One queued Write awaiting the group-commit leader. Lives on the
-  // writer's stack; `rep` (and `participants`, for prepares) point into
-  // the caller's frame, which outlives the commit.
-  struct WalWaiter {
-    Slice rep;
-    uint32_t count = 0;
-    bool sync = false;
-    bool fill_stats = true;
-    bool done = false;
-    bool prepare = false;   // append a prepare record instead of a batch
-    uint64_t txn_id = 0;    // prepare only
-    Slice participants;     // prepare only: pre-encoded shard set
-    int token_slot = -1;  // epoch slot of the apply token taken on success
-    Status status;
+  // A batch between the commit front half (LogBatch) and memory: the
+  // batch as logged, the vlog files its pointers pin and its WAL apply
+  // token. Destruction releases the token and the pins, so a write that
+  // fails or is abandoned after its commit leaks neither, and GC cannot
+  // retire a vlog file whose only pointer sits in an unapplied batch or
+  // cross-shard prepare.
+  struct PendingWrite {
+    PendingWrite() = default;
+    PendingWrite(const PendingWrite&) = delete;
+    PendingWrite& operator=(const PendingWrite&) = delete;
+    ~PendingWrite() { Release(); }
+    // Releases the apply token and the vlog pins; idempotent.
+    void Release();
+
+    FloDB* db = nullptr;
+    // As logged: the caller's batch, or `shadow` when large values were
+    // replaced by vlog pointers.
+    WriteBatch* batch = nullptr;
+    WriteBatch shadow;
+    std::vector<uint64_t> vlog_pins;
+    // -1: no token held.
+    int token_slot = -1;
   };
 
-  // Commits `batch` to the WAL through the writer queue: the leader
-  // appends every queued record and issues one Sync for the group's sync
-  // writers. On OK the caller holds an apply token in *token_slot and
-  // MUST release it (decrement inflight_wal_applies_[slot]) once the
-  // batch is applied to memory.
+  // The commit front half shared by Write and PrepareBatch: separates
+  // large values, validates the rep (a malformed batch must fail here,
+  // not poison the WAL for the next recovery), waits for Memtable
+  // headroom and commits one WAL record through the group-commit queue.
   // With txn_id != 0 the record is a cross-shard PREPARE carrying the
-  // participant set; prepares always sync (the router's commit marker
-  // must never be durable ahead of a participant's prepare).
-  Status WalCommit(const WriteOptions& options, WriteBatch* batch, int* token_slot,
-                   uint64_t txn_id = 0, const Slice& participants = Slice()) EXCLUDES(wal_mu_);
+  // participant set, and it always syncs: the router's commit marker
+  // must never be durable ahead of a participant's prepare. Without a
+  // WAL only the separation runs.
+  Status LogBatch(const WriteOptions& options, WriteBatch* batch, uint64_t txn_id,
+                  const Slice& participants, PendingWrite* pending);
 
   // Blocks while the Memtable is at its hard cap (2x target). Must run
-  // BEFORE WalCommit: a writer holding an apply token must not block on
-  // the persist thread, which waits on that token.
+  // BEFORE the WAL commit: a writer holding an apply token must not block
+  // on the persist thread, which waits on that token.
   void WaitForMemtableHeadroom();
 
-  // Applies a WAL-committed batch to the memory component (Algorithm 2
-  // generalized), releasing the apply token in `token_slot` (if >= 0) on
-  // every path out. Never blocks on Memtable backpressure when holding a
-  // token.
+  // Applies a logged batch to the memory component (Algorithm 2
+  // generalized). Never blocks on Memtable backpressure when holding a
+  // token (token_slot >= 0); the caller releases the token afterwards.
   Status ApplyBatchToMemory(const WriteOptions& options, WriteBatch* batch, int token_slot);
 
   // ---- cross-shard two-phase commit hooks (ShardedKVStore only) ----
 
   // Phase 1: durably logs this shard's slice of cross-shard transaction
-  // `txn_id` as a prepare record (always fsync'd) WITHOUT applying it to
-  // memory. On OK the caller holds an apply token in *token_slot and must
-  // finish with exactly one of ApplyPreparedBatch / AbandonPrepare.
+  // `txn_id` as a prepare record WITHOUT applying it to memory. On OK
+  // *pending holds the apply token and the vlog pins until exactly one
+  // of ApplyPreparedBatch / AbandonPrepare.
   Status PrepareBatch(const WriteOptions& options, WriteBatch* batch, uint64_t txn_id,
-                      const Slice& participants, int* token_slot);
-  // Phase 3: applies a prepared batch to memory and releases the token.
-  Status ApplyPreparedBatch(const WriteOptions& options, WriteBatch* batch, int token_slot);
-  // Abort: releases the token without applying. The prepare record stays
+                      const Slice& participants, PendingWrite* pending);
+  // Phase 3: applies a prepared batch to memory and releases *pending.
+  Status ApplyPreparedBatch(const WriteOptions& options, PendingWrite* pending);
+  // Abort: releases *pending without applying. The prepare record stays
   // in the WAL as an orphan; with no commit marker it is discarded by
   // recovery, so the data is never visible.
-  void AbandonPrepare(int token_slot);
-
-  // Opens wal-<number> as the live log. On failure the WAL stays broken
-  // (wal_ null, wal_status_ set) and writes fail.
-  Status OpenWalLocked(uint64_t number) REQUIRES(wal_mu_);
-
-  // Cheap probe called from the background loops: if the WAL is broken
-  // (failed rotation / failed append or sync), retire any half-dead
-  // writer and try to open a fresh log.
-  void TryReopenWal() EXCLUDES(wal_mu_);
+  void AbandonPrepare(PendingWrite* pending) { pending->Release(); }
 
   Status RecoverFromWal(CrossShardTxnRecovery* txn_recovery);
   std::string WalFileName(uint64_t number) const;
@@ -338,45 +335,19 @@ class FloDB final : public KVStore {
   CondVar persist_done_cv_;  // signals swap completed
   std::atomic<bool> force_persist_{false};
 
-  // WAL (only when options_.enable_wal). wal_mu_ protects the writer
-  // queue, the live WalWriter, wal_number_, wal_epoch_, wal_status_ and
-  // retired_wals_. The queue's front is the group-commit leader; it does
-  // its IO holding wal_mu_, so rotation and appends never interleave.
-  // The leader drops wal_mu_ for the Append+Sync phase (so followers can
-  // keep enqueueing and form the next group behind a slow fsync) and
-  // raises wal_leader_busy_ instead; rotation and repair wait it out.
-  Mutex wal_mu_;
-  CondVar wal_cv_;
-  std::deque<WalWaiter*> wal_queue_ GUARDED_BY(wal_mu_);
-  bool wal_leader_busy_ GUARDED_BY(wal_mu_) = false;
-  std::unique_ptr<WalWriter> wal_ GUARDED_BY(wal_mu_);
-  uint64_t wal_number_ GUARDED_BY(wal_mu_) = 0;
-  // Rotations so far; parity picks the token slot.
-  uint64_t wal_epoch_ GUARDED_BY(wal_mu_) = 0;
-  uint64_t last_wal_repair_nanos_ GUARDED_BY(wal_mu_) = 0;  // TryReopenWal churn backoff
-  // Non-OK: WAL broken, Write fails until repaired.
-  Status wal_status_ GUARDED_BY(wal_mu_);
-  std::atomic<bool> wal_broken_{false};  // lock-free mirror for repair probes
+  // WAL (only when options_.enable_wal): the numbered wal-*.log files
+  // behind one group-commit queue, which also holds the live writer, the
+  // broken status and the apply tokens (DESIGN.md §10).
+  GroupCommitLog wal_;
 
   // Rotated-out logs whose generation has not persisted yet. At each
-  // rotation the persist thread moves the accumulated list into
-  // pending_wal_deletes_ (everything retired up to that epoch boundary is
-  // durable once THIS cycle's AddRun succeeds); a log retired mid-epoch —
-  // a broken WAL repaired by TryReopenWal — lands in retired_wals_ AFTER
-  // the snapshot and therefore waits for the NEXT cycle, because its
-  // records live in the still-unpersisted current Memtable.
-  std::vector<uint64_t> retired_wals_ GUARDED_BY(wal_mu_);
-  // Thread-confined to the persist thread (moved out of retired_wals_
-  // under wal_mu_, then consumed between rotations) — deliberately not
-  // lock-guarded, so it carries no capability annotation.
+  // rotation the persist thread collects every log retired up to that
+  // epoch boundary here (they are durable once THIS cycle's AddRun
+  // succeeds); a log retired mid-epoch — a broken WAL repaired by
+  // GroupCommitLog::Repair — waits in the queue's retired list for the NEXT
+  // rotation, because its records live in the still-unpersisted current
+  // Memtable. Thread-confined to the persist thread, so not lock-guarded.
   std::vector<uint64_t> pending_wal_deletes_;
-
-  // Writers that committed to the WAL but have not finished applying to
-  // the memory component, by rotation-epoch parity. The persist thread
-  // drains the outgoing epoch's slot between rotating the log and
-  // swapping Memtables, which bounds every WAL record's landing
-  // generation and makes retired-log deletion safe.
-  std::atomic<uint64_t> inflight_wal_applies_[2] = {0, 0};
 
   std::thread drain_thread_;  // started only when the Membuffer is enabled
   std::thread persist_thread_;
@@ -402,8 +373,6 @@ class FloDB final : public KVStore {
   mutable std::atomic<uint64_t> scan_restarts_{0}, fallback_scans_{0};
   mutable std::atomic<uint64_t> master_scans_{0}, piggyback_scans_{0};
   mutable std::atomic<uint64_t> membuffer_rotations_{0};
-  mutable std::atomic<uint64_t> wal_syncs_{0};
-  mutable std::atomic<uint64_t> group_commit_groups_{0}, group_commit_writers_{0};
   mutable std::atomic<uint64_t> persist_failures_{0};
   mutable std::atomic<uint64_t> txn_prepares_{0}, orphaned_prepares_{0};
   mutable std::atomic<uint64_t> vlog_gc_failed_rounds_{0};

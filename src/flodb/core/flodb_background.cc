@@ -7,7 +7,6 @@
 #include <cinttypes>
 #include <cstdio>
 
-#include "flodb/common/clock.h"
 #include "flodb/core/flodb.h"
 #include "flodb/core/memtable_iterator.h"
 
@@ -189,7 +188,9 @@ void FloDB::DrainLoop() {
     // A broken WAL (failed rotation/append/fsync) heals here: each drain
     // cycle retries opening a fresh log so writes resume without waiting
     // for the next Memtable swap. Lock-free no-op when healthy.
-    TryReopenWal();
+    if (options_.enable_wal) {
+      wal_.Repair();
+    }
 
     if (pause_draining_.load(std::memory_order_seq_cst)) {
       std::this_thread::sleep_for(kDrainIdleSleep);
@@ -355,40 +356,15 @@ void FloDB::PersistLoop() {
       //    Memtable and be lost when the old log is deleted.
       int drain_slot = -1;
       if (options_.enable_wal) {
-        MutexLock lock(wal_mu_);
-        // A group-commit leader may be mid-Append/Sync with wal_mu_
-        // dropped; swapping the log under it would tear the stream. The
-        // wait loop is explicit: wal_leader_busy_ is guarded state, so it
-        // must be read in this (annotated) scope, not in a lambda.
-        while (wal_leader_busy_) {
-          wal_cv_.Wait(wal_mu_);
-        }
-        if (wal_ != nullptr) {
-          // Best-effort: an unsynced tail holds only sync=false acks,
-          // which are allowed to be lost; AddRun below is what makes the
-          // generation durable.
-          wal_->Sync();
-          wal_->Close();
-          retired_wals_.push_back(wal_number_);
-          wal_.reset();
-        }
-        drain_slot = static_cast<int>(wal_epoch_ & 1);
-        ++wal_epoch_;  // writers from here on take the other token slot
-        // Epoch-boundary snapshot: every log retired up to HERE holds
-        // records of generations at or before the one this cycle
-        // persists, so they become deletable when its AddRun succeeds.
-        // Logs retired after this point (mid-epoch breaks) stay in
-        // retired_wals_ for the next cycle — their records live in the
-        // new, unpersisted generation.
-        pending_wal_deletes_.insert(pending_wal_deletes_.end(), retired_wals_.begin(),
-                                    retired_wals_.end());
-        retired_wals_.clear();
-        Status s = OpenWalLocked(wal_number_ + 1);
+        // Every log retired up to this epoch boundary holds records of
+        // generations at or before the one this cycle persists, so it
+        // becomes deletable when this cycle's AddRun succeeds. A log
+        // retired later (a mid-epoch repair) waits for the next cycle:
+        // its records live in the new, unpersisted generation.
+        Status s = wal_.Rotate(&drain_slot, &pending_wal_deletes_);
         if (!s.ok()) {
-          // Satellite fix #1: the old behavior installed nothing and let
-          // later writes append to the closed writer. Now the WAL is
-          // marked broken (OpenWalLocked), Write fails with IOError, and
-          // the next drain cycle retries the rotation (TryReopenWal).
+          // The WAL stays broken: Write fails with IOError and the next
+          // drain cycle retries the open (GroupCommitLog::Repair).
           fprintf(stderr, "flodb: cannot rotate WAL (writes fail until repaired): %s\n",
                   s.ToString().c_str());
         }
@@ -400,7 +376,7 @@ void FloDB::PersistLoop() {
       //    are about to persist. (Writers holding these tokens are exempt
       //    from Memtable backpressure, so this wait is bounded.)
       if (drain_slot >= 0) {
-        while (inflight_wal_applies_[drain_slot].load(std::memory_order_acquire) != 0) {
+        while (wal_.TokensOutstanding(drain_slot)) {
           if (stop_.load(std::memory_order_relaxed)) {
             return;
           }
@@ -482,53 +458,6 @@ void FloDB::PersistLoop() {
       pending_wal_deletes_.clear();
     }
   }
-}
-
-Status FloDB::OpenWalLocked(uint64_t number) {
-  std::unique_ptr<WritableFile> file;
-  Status s = options_.disk.env->NewWritableFile(WalFileName(number), &file);
-  if (!s.ok()) {
-    wal_status_ = s;
-    wal_broken_.store(true, std::memory_order_release);
-    return s;
-  }
-  wal_number_ = number;
-  wal_ = std::make_unique<WalWriter>(std::move(file));
-  wal_status_ = Status::OK();
-  wal_broken_.store(false, std::memory_order_release);
-  return Status::OK();
-}
-
-void FloDB::TryReopenWal() {
-  if (!options_.enable_wal || !wal_broken_.load(std::memory_order_acquire)) {
-    return;
-  }
-  MutexLock lock(wal_mu_);
-  while (wal_leader_busy_) {
-    wal_cv_.Wait(wal_mu_);
-  }
-  if (!wal_broken_.load(std::memory_order_acquire)) {
-    return;  // lost the race to another repairer
-  }
-  // Backoff: during a sustained fsync outage every failed write probes
-  // here, and each "successful" repair mints a fresh log whose first
-  // fsync breaks it again — without a floor that is one wal-*.log per
-  // failed write. One attempt per 50ms bounds the churn while keeping
-  // recovery sub-second once the device heals.
-  constexpr uint64_t kRepairBackoffNanos = 50ull * 1000 * 1000;
-  const uint64_t now = NowNanos();
-  if (now - last_wal_repair_nanos_ < kRepairBackoffNanos) {
-    return;
-  }
-  last_wal_repair_nanos_ = now;
-  if (wal_ != nullptr) {
-    // Broken mid-stream (failed append or fsync): retire the damaged log
-    // — its synced prefix still matters for recovery — and start fresh.
-    wal_->Close();
-    retired_wals_.push_back(wal_number_);
-    wal_.reset();
-  }
-  OpenWalLocked(wal_number_ + 1);
 }
 
 std::string FloDB::WalFileName(uint64_t number) const {
@@ -616,8 +545,7 @@ Status FloDB::RecoverFromWal(CrossShardTxnRecovery* txn_recovery) {
     env->RemoveFile(WalFileName(number));
   }
 
-  MutexLock lock(wal_mu_);
-  return OpenWalLocked(wal_numbers.empty() ? 1 : wal_numbers.back() + 1);
+  return wal_.Open(wal_numbers.empty() ? 1 : wal_numbers.back() + 1);
 }
 
 }  // namespace flodb

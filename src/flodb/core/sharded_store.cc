@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 
 #include "flodb/common/coding.h"
 #include "flodb/disk/env.h"
@@ -40,11 +41,6 @@ Status CheckOrWriteTopology(Env* env, const std::string& base, int shards, size_
   }
   return WriteStringToFile(env, Slice(expected), path, /*sync=*/true);
 }
-
-// Txn-log record payload: uint8 kTxnCommitTag | varint64 txn_id, framed by
-// the shared WalWriter/WalReader CRC framing (DESIGN.md §10). The tag
-// byte leaves room for future marker kinds (e.g. explicit aborts).
-constexpr uint8_t kTxnCommitTag = 1;
 
 // Rebuilds a status with the same code but an annotated message (the
 // factory constructors are the only way in).
@@ -149,7 +145,11 @@ class ShardedScanIterator final : public ScanIterator {
 
 }  // namespace
 
-ShardedKVStore::ShardedKVStore(int shards, size_t prefix_skip) : router_(shards, prefix_skip) {
+ShardedKVStore::ShardedKVStore(const FloDbOptions& options, int shards)
+    : router_(shards, options.shard_key_prefix_skip),
+      wal_enabled_(options.enable_wal),
+      // There is one txn.log, so the log number is unused.
+      txn_log_(options.disk.env, [log = TxnLogPath(options.disk.path)](uint64_t) { return log; }) {
   shards_.reserve(static_cast<size_t>(shards));
 }
 
@@ -161,12 +161,7 @@ std::string ShardedKVStore::ShardPath(const std::string& base, int shard) {
 
 std::string ShardedKVStore::TxnLogPath(const std::string& base) { return base + "/txn.log"; }
 
-ShardedKVStore::~ShardedKVStore() {
-  if (txn_log_ != nullptr) {
-    txn_log_->Sync();
-    txn_log_->Close();
-  }
-}
+ShardedKVStore::~ShardedKVStore() { txn_log_.Close(); }
 
 Status ShardedKVStore::Open(const FloDbOptions& options, std::unique_ptr<ShardedKVStore>* out) {
   if (options.shards < 1) {
@@ -213,9 +208,7 @@ Status ShardedKVStore::Open(const FloDbOptions& options, std::unique_ptr<Sharded
   shard_options.disk.table_cache_entries =
       std::max<size_t>(options.disk.table_cache_entries / static_cast<size_t>(n), 1);
 
-  auto store = std::unique_ptr<ShardedKVStore>(
-      new ShardedKVStore(n, options.shard_key_prefix_skip));
-  store->wal_enabled_ = options.enable_wal;
+  auto store = std::unique_ptr<ShardedKVStore>(new ShardedKVStore(options, n));
   if (options.enable_persistence) {
     if (options.disk.env == nullptr || options.disk.path.empty()) {
       return Status::InvalidArgument("persistence requires disk.env and disk.path");
@@ -249,7 +242,7 @@ Status ShardedKVStore::Open(const FloDbOptions& options, std::unique_ptr<Sharded
       while (reader.ReadRecord(&payload)) {
         Slice in(payload);
         uint64_t txn_id = 0;
-        if (in.size() < 2 || static_cast<uint8_t>(in[0]) != kTxnCommitTag) {
+        if (in.size() < 2 || static_cast<uint8_t>(in[0]) != kTxnCommitRecordTag) {
           return Status::Corruption("malformed txn-log record");
         }
         in.remove_prefix(1);
@@ -293,15 +286,10 @@ Status ShardedKVStore::Open(const FloDbOptions& options, std::unique_ptr<Sharded
   if (txn_recovery != nullptr) {
     store->next_txn_id_.store(std::max(max_marker_id, txn_recovery->max_txn_id_seen) + 1,
                               std::memory_order_relaxed);
-    std::unique_ptr<WritableFile> file;
-    Status s = options.disk.env->NewWritableFile(TxnLogPath(options.disk.path), &file);
+    Status s = store->txn_log_.Open(1);
     if (!s.ok()) {
       return s;
     }
-    // Single-threaded here, but txn_log_ is guarded state; taking the
-    // (uncontended) lock keeps the annotation honest.
-    MutexLock lock(store->txn_log_mu_);
-    store->txn_log_ = std::make_unique<WalWriter>(std::move(file));
   }
   *out = std::move(store);
   return Status::OK();
@@ -393,33 +381,31 @@ Status ShardedKVStore::WriteAtomic(const WriteOptions& options, std::vector<Writ
     }
   }
 
+  // Each touched shard's slice as logged (large values already in that
+  // shard's vlog); it holds the apply token and the vlog pins until it is
+  // applied or abandoned.
+  std::vector<FloDB::PendingWrite> prepared(shards_.size());
+
   // Phases 1 + 2 only exist with a WAL: without one there is no crash
   // state to keep consistent, and the fence alone provides the scan
   // guarantee.
-  std::vector<std::pair<size_t, int>> prepared;  // (shard, apply-token slot)
-  prepared.reserve(nshards);
   if (wal_enabled_) {
     Status s;
     for (size_t i = 0; i < shards_.size() && s.ok(); ++i) {
-      if (splits[i].Empty()) {
-        continue;
-      }
-      int token_slot = -1;
-      s = shards_[i]->PrepareBatch(options, &splits[i], txn_id, Slice(participants),
-                                   &token_slot);
-      if (s.ok()) {
-        prepared.emplace_back(i, token_slot);
+      if (!splits[i].Empty()) {
+        s = shards_[i]->PrepareBatch(options, &splits[i], txn_id, Slice(participants),
+                                     &prepared[i]);
       }
     }
     if (s.ok()) {
-      s = CommitMarker(txn_id, options.sync);
+      s = txn_log_.Commit(WalRecord::TxnCommit(txn_id), options.sync);
     }
     if (!s.ok()) {
       // Abort: release every token WITHOUT applying. The prepares stay in
       // their WALs as orphans; with no marker they can never replay, so
       // no shard's slice of this batch is ever visible or durable.
-      for (const auto& [shard, token_slot] : prepared) {
-        shards_[shard]->AbandonPrepare(token_slot);
+      for (size_t i = 0; i < shards_.size(); ++i) {
+        shards_[i]->AbandonPrepare(&prepared[i]);
       }
       txn_aborts_.fetch_add(1, std::memory_order_relaxed);
       return StatusWithCode(s.code(), "cross-shard transaction aborted, nothing committed: " +
@@ -433,106 +419,28 @@ Status ShardedKVStore::WriteAtomic(const WriteOptions& options, std::vector<Writ
   // this batch. Appliers hold WAL apply tokens and are exempt from
   // Memtable backpressure, so the fence is never held across a blocking
   // wait on the persist thread.
+  //
+  // Every slice is applied and the first failure is returned. Without a
+  // WAL a failed slice fails the write, but the other shards' slices stay
+  // applied: there is no log to roll them back from (DESIGN.md §8).
+  Status s;
   {
     ReaderMutexLock fence(txn_apply_gate_);
-    if (wal_enabled_) {
-      for (const auto& [shard, token_slot] : prepared) {
-        shards_[shard]->ApplyPreparedBatch(options, &splits[shard], token_slot);
+    for (size_t i = 0; i < shards_.size(); ++i) {
+      if (splits[i].Empty()) {
+        continue;
       }
-    } else {
-      for (size_t i = 0; i < shards_.size(); ++i) {
-        if (!splits[i].Empty()) {
-          shards_[i]->Write(options, &splits[i]);
-        }
+      Status applied = wal_enabled_ ? shards_[i]->ApplyPreparedBatch(options, &prepared[i])
+                                    : shards_[i]->Write(options, &splits[i]);
+      if (s.ok()) {
+        s = applied;
       }
     }
   }
-  txn_commits_.fetch_add(1, std::memory_order_relaxed);
-  return Status::OK();
-}
-
-Status ShardedKVStore::CommitMarker(uint64_t txn_id, bool sync) {
-  TxnMarkerWaiter me;
-  me.txn_id = txn_id;
-  me.sync = sync;
-
-  // Explicit lock()/unlock() pairing (not MutexLock): the leader drops
-  // txn_log_mu_ mid-scope for the Append+Sync phase, and the analysis
-  // checks the manual pairing on every branch.
-  txn_log_mu_.lock();
-  txn_log_queue_.push_back(&me);
-  while (!me.done && txn_log_queue_.front() != &me) {
-    txn_log_cv_.Wait(txn_log_mu_);
+  if (s.ok()) {
+    txn_commits_.fetch_add(1, std::memory_order_relaxed);
   }
-  if (me.done) {
-    // A leader committed this marker as part of its group; `me` is ours
-    // alone again, safe to read unlocked.
-    txn_log_mu_.unlock();
-    return me.status;
-  }
-
-  // Leader: snapshot the whole queue as the group. A broken log fails the
-  // group — appending after an unknown-tail failure would fake
-  // durability; the log heals at the next Open's truncation.
-  std::vector<TxnMarkerWaiter*> group(txn_log_queue_.begin(), txn_log_queue_.end());
-  Status broken = txn_log_status_;
-  if (broken.ok() && txn_log_ == nullptr) {
-    broken = Status::IOError("txn log is not open");
-  }
-
-  size_t appended = 0;
-  bool group_has_sync = false;
-  Status append_error;
-  Status sync_error;
-  if (broken.ok()) {
-    // IO happens WITHOUT txn_log_mu_ (the queue front keeps new arrivals
-    // followers), so a group can form behind a slow fsync.
-    WalWriter* log = txn_log_.get();
-    txn_log_mu_.unlock();
-    std::string payload;
-    for (TxnMarkerWaiter* w : group) {
-      payload.clear();
-      payload.push_back(static_cast<char>(kTxnCommitTag));
-      PutVarint64(&payload, w->txn_id);
-      Status s = log->AddRecord(payload);
-      if (!s.ok()) {
-        append_error = s;
-        break;
-      }
-      ++appended;
-      group_has_sync = group_has_sync || w->sync;
-    }
-    if (appended > 0 && group_has_sync) {
-      sync_error = log->Sync();
-    }
-    txn_log_mu_.lock();
-  }
-  if (!append_error.ok() || !sync_error.ok()) {
-    txn_log_status_ = append_error.ok() ? sync_error : append_error;
-  }
-
-  // Mirror WalCommit's per-writer results: an appended, unsynced marker
-  // is an acceptable ack for a sync=false transaction (it may vanish in a
-  // crash — together with its prepares, whole); a sync writer whose fsync
-  // failed aborts.
-  for (size_t i = 0; i < group.size(); ++i) {
-    TxnMarkerWaiter* w = group[i];
-    if (!broken.ok()) {
-      w->status = broken;
-    } else if (i >= appended) {
-      w->status = append_error;
-    } else if (w->sync && !sync_error.ok()) {
-      w->status = sync_error;
-    } else {
-      w->status = Status::OK();
-    }
-    w->done = true;
-  }
-  txn_log_queue_.erase(txn_log_queue_.begin(),
-                       txn_log_queue_.begin() + static_cast<ptrdiff_t>(group.size()));
-  txn_log_mu_.unlock();
-  txn_log_cv_.SignalAll();
-  return me.status;
+  return s;
 }
 
 Status ShardedKVStore::Get(const ReadOptions& options, const Slice& key, std::string* value) {

@@ -36,7 +36,6 @@
 #define FLODB_CORE_SHARDED_STORE_H_
 
 #include <atomic>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -103,50 +102,25 @@ class ShardedKVStore final : public KVStore {
   static std::string TxnLogPath(const std::string& base);
 
  private:
-  ShardedKVStore(int shards, size_t prefix_skip);
+  ShardedKVStore(const FloDbOptions& options, int shards);
 
   // Two-phase commit for a straddling batch: per-shard prepares, one
   // durable commit marker, then apply-to-memory under the shared fence.
   // Any prepare/marker failure aborts with NOTHING visible.
   Status WriteAtomic(const WriteOptions& options, std::vector<WriteBatch>& splits);
 
-  // Appends (and, for sync, fsyncs) a commit marker through the txn log's
-  // group-commit leader queue — the PR 5 WalCommit pattern: the queue
-  // front appends every queued marker and issues ONE Sync covering the
-  // group's sync writers.
-  Status CommitMarker(uint64_t txn_id, bool sync) EXCLUDES(txn_log_mu_);
-
-  // One queued CommitMarker awaiting the leader; lives on the caller's
-  // stack.
-  struct TxnMarkerWaiter {
-    uint64_t txn_id = 0;
-    bool sync = false;
-    bool done = false;
-    Status status;
-  };
-
   const ShardRouter router_;
   std::vector<std::unique_ptr<FloDB>> shards_;
 
   // Cross-shard transaction state (DESIGN.md §8).
-  bool wal_enabled_ = false;
+  const bool wal_enabled_;
   std::atomic<uint64_t> next_txn_id_{1};
 
   // Txn log (commit markers): append-only at runtime, truncated by the
-  // next Open once shard recovery has consumed every marker. txn_log_mu_
-  // protects the queue, the writer and txn_log_status_; the leader drops
-  // the mutex for the Append+Sync phase (queue front keeps arrivals
-  // followers).
-  Mutex txn_log_mu_;
-  CondVar txn_log_cv_;
-  std::deque<TxnMarkerWaiter*> txn_log_queue_ GUARDED_BY(txn_log_mu_);
-  // Written once by Open (single-threaded) and read by the destructor;
-  // the leader reads the pointer under txn_log_mu_ but performs IO on it
-  // unlocked — the queue front keeps every arrival a follower, so only
-  // one thread touches the writer at a time.
-  std::unique_ptr<WalWriter> txn_log_ GUARDED_BY(txn_log_mu_);
-  // non-OK: marker log broken, atomic writes fail
-  Status txn_log_status_ GUARDED_BY(txn_log_mu_);
+  // next Open once shard recovery has consumed every marker. Its group-
+  // commit queue is the same one FloDB's WAL uses (DESIGN.md §10). It is
+  // never repaired: a failure latches it broken until the next Open.
+  GroupCommitLog txn_log_;
 
   // The snapshot fence: the apply phase of a cross-shard commit holds it
   // shared for the whole multi-shard apply; a consistent merged scan

@@ -15,8 +15,9 @@
 //
 // Durability contract: a vlog file is registered in the MANIFEST before
 // any append to it is served, and Sync() must complete before a WAL
-// sync covering records that reference the appended bytes (the
-// WalCommit leader and AddRun/compaction enforce this). A crash can
+// sync covering records that reference the appended bytes (the WAL's
+// GroupCommitLog runs the vlog sync ahead of every group fsync, and
+// AddRun/compaction enforce it too). A crash can
 // therefore leave garbage tails in a vlog (framed out by CRC) but never
 // a durable pointer at bytes that did not reach disk.
 //

@@ -18,6 +18,9 @@
 //     uint8 3 | varint64 txn_id | varint32 nshards | nshards × varint32 shard
 //            | varint32 count | count × (uint8 type | klen | key | vlen | value)
 //
+// The router's txn log reuses the framing for its commit markers
+// (kTxnCommitRecordTag, below).
+//
 // Because the CRC covers the whole payload, a batch is durability-atomic:
 // recovery replays it entirely or not at all. A prepare record is only
 // replayed when the caller confirms its transaction committed (a durable
@@ -28,6 +31,8 @@
 #ifndef FLODB_DISK_WAL_H_
 #define FLODB_DISK_WAL_H_
 
+#include <atomic>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -35,6 +40,7 @@
 
 #include "flodb/common/slice.h"
 #include "flodb/common/status.h"
+#include "flodb/common/synchronization.h"
 #include "flodb/disk/env.h"
 #include "flodb/mem/entry.h"
 
@@ -47,31 +53,171 @@ inline constexpr uint8_t kWalBatchRecordTag = 2;
 // First payload byte of a cross-shard transaction prepare record.
 inline constexpr uint8_t kWalPrepareRecordTag = 3;
 
+// First payload byte of a commit marker in the router's txn log (a log of
+// its own, never mixed with WAL records): uint8 1 | varint64 txn_id.
+inline constexpr uint8_t kTxnCommitRecordTag = 1;
+
+// One record as a writer appends it; the slices point into the caller's
+// frame, which must outlive the append. A batch uses count and entries
+// (WriteBatch::rep() form), a prepare adds txn_id and participants, and a
+// commit marker uses txn_id alone.
+struct WalRecord {
+  uint8_t tag = kWalBatchRecordTag;
+  uint64_t txn_id = 0;
+  Slice participants;
+  uint32_t count = 0;
+  Slice entries;
+
+  static WalRecord Batch(uint32_t count, const Slice& entries) {
+    return WalRecord{kWalBatchRecordTag, 0, Slice(), count, entries};
+  }
+  // `participants` is pre-encoded once and shared by every shard's record.
+  static WalRecord Prepare(uint64_t txn_id, const Slice& participants, uint32_t count,
+                           const Slice& entries) {
+    return WalRecord{kWalPrepareRecordTag, txn_id, participants, count, entries};
+  }
+  static WalRecord TxnCommit(uint64_t txn_id) {
+    return WalRecord{kTxnCommitRecordTag, txn_id, Slice(), 0, Slice()};
+  }
+};
+
 class WalWriter {
  public:
   // Takes ownership of the file.
   explicit WalWriter(std::unique_ptr<WritableFile> file) : file_(std::move(file)) {}
 
   // Appends one framed record; thread-compatible (callers serialize).
+  // The payload is encoded straight into one scratch buffer behind the
+  // frame header: one copy of the entries, no per-record allocation once
+  // the buffer has grown.
+  Status Add(const WalRecord& record);
+
+  // Appends one framed record holding an already-encoded payload.
   Status AddRecord(const Slice& payload);
-
-  // Appends ONE framed batch record holding `count` updates encoded as in
-  // WriteBatch::rep() — the whole batch commits or recovers as a unit.
-  Status AddBatch(uint32_t count, const Slice& entries);
-
-  // Appends ONE framed prepare record for a cross-shard transaction:
-  // this shard's slice of the batch plus the txn id and participant set.
-  // `participants` is pre-encoded as varint32 nshards | nshards × varint32
-  // shard index (shared across all shards of the transaction).
-  Status AddPrepare(uint64_t txn_id, const Slice& participants, uint32_t count,
-                    const Slice& entries);
 
   Status Sync() { return file_->Sync(); }
   Status Close() { return file_->Close(); }
 
  private:
+  // Frames scratch_ (header space, then the payload's head) followed by
+  // `tail`, and appends the frame.
+  Status Emit(const Slice& tail);
+
   std::unique_ptr<WritableFile> file_;
   std::string scratch_;
+};
+
+// The group-commit queue behind every log in the store: FloDB's WAL and
+// the sharded router's txn log each hold one (DESIGN.md §10). It is the
+// LevelDB writer queue. Every Commit queues its record and the queue's
+// front is the LEADER: it appends the record of every queued writer with
+// the lock dropped, so followers keep queueing behind a slow fsync and
+// form the next group. It then issues at most one Sync for the group, only
+// if some appended writer asked for one, and hands each writer its outcome:
+//   - a broken log fails every writer;
+//   - an append failure at writer i fails writers i and later;
+//   - a sync failure fails only the group's sync writers;
+//   - any failure latches the log broken until Repair.
+//
+// The log is a sequence of numbered files, named by the owner. Rotate and
+// Repair retire the live file and open the next number under the queue
+// lock, after any leader mid-IO finished, so they never tear a group's
+// stream.
+//
+// Apply tokens: a committing writer may ask for one. It is taken under the
+// queue lock in the current epoch's parity slot, and the writer releases
+// it once its record reached memory. Rotate advances the epoch under the
+// same lock and hands back the outgoing slot, so every writer either holds
+// a token the rotation waits on or lands in the new epoch (DESIGN.md §10
+// "Rotation ordering").
+class GroupCommitLog {
+ public:
+  // Names the file of log `number`.
+  using FileNamer = std::function<std::string(uint64_t number)>;
+
+  // `before_sync` (optional) runs ahead of every fsync, with the lock
+  // dropped; a failure counts as the group's sync failure and skips the
+  // fsync. FloDB syncs its value log there (docs/STORAGE.md §10).
+  GroupCommitLog(Env* env, FileNamer file_name, std::function<Status()> before_sync = nullptr)
+      : env_(env), file_name_(std::move(file_name)), before_sync_(std::move(before_sync)) {}
+
+  GroupCommitLog(const GroupCommitLog&) = delete;
+  GroupCommitLog& operator=(const GroupCommitLog&) = delete;
+
+  // Opens log `number` as the live file; on failure the log is broken.
+  Status Open(uint64_t number) EXCLUDES(mu_);
+
+  // Appends `record` through the writer queue; with `sync`, OK means it is
+  // durable. With a non-null `token_slot`, OK also hands the caller an
+  // apply token in *token_slot, which it must ReleaseToken.
+  Status Commit(const WalRecord& record, bool sync, int* token_slot = nullptr) EXCLUDES(mu_);
+
+  void ReleaseToken(int slot) { inflight_[slot].fetch_sub(1, std::memory_order_release); }
+  bool TokensOutstanding(int slot) const {
+    return inflight_[slot].load(std::memory_order_acquire) != 0;
+  }
+
+  // The epoch boundary: syncs (best effort) and retires the live file,
+  // advances the epoch, appends every file retired so far to *retired and
+  // opens the next number. *drain_slot receives the outgoing epoch's
+  // token slot. A failed open leaves the log broken.
+  Status Rotate(int* drain_slot, std::vector<uint64_t>* retired) EXCLUDES(mu_);
+
+  // If the log is broken: retires the damaged file (its synced prefix
+  // still matters to recovery) and opens the next number. A lock-free
+  // no-op on a healthy log; at most one attempt per 50 ms, so a sustained
+  // fsync outage cannot mint one file per failed write.
+  void Repair() EXCLUDES(mu_);
+
+  bool broken() const { return broken_.load(std::memory_order_acquire); }
+
+  // Shutdown: runs before_sync, then syncs and closes the live file.
+  void Close() EXCLUDES(mu_);
+
+  // Writers waiting in the queue, the leader included (tests).
+  size_t QueuedWriters() EXCLUDES(mu_);
+
+  uint64_t syncs() const { return syncs_.load(std::memory_order_relaxed); }
+  // Groups with at least one committed writer, and their committed writers.
+  uint64_t groups() const { return groups_.load(std::memory_order_relaxed); }
+  uint64_t committed_writers() const { return writers_.load(std::memory_order_relaxed); }
+
+ private:
+  struct Waiter;
+
+  Status OpenLocked(uint64_t number) REQUIRES(mu_);
+  // Waits until no leader is appending or syncing with the lock dropped.
+  void WaitForIdleLeaderLocked() REQUIRES(mu_);
+  // Moves the live file (if any) to retired_.
+  void RetireLocked() REQUIRES(mu_);
+
+  Env* const env_;
+  const FileNamer file_name_;
+  const std::function<Status()> before_sync_;
+
+  Mutex mu_;
+  CondVar cv_;
+  std::deque<Waiter*> queue_ GUARDED_BY(mu_);
+  // Set while the leader does IO with mu_ dropped; the queue front keeps
+  // new arrivals followers, and rotation and repair wait it out.
+  bool leader_busy_ GUARDED_BY(mu_) = false;
+  std::unique_ptr<WalWriter> writer_ GUARDED_BY(mu_);
+  // The number of the last file opened.
+  uint64_t number_ GUARDED_BY(mu_) = 0;
+  // Non-OK: broken, every Commit fails until Repair. `broken_` mirrors it
+  // for lock-free probes.
+  Status status_ GUARDED_BY(mu_) = Status::IOError("log is not open");
+  std::atomic<bool> broken_{true};
+  // Files closed since the last Rotate.
+  std::vector<uint64_t> retired_ GUARDED_BY(mu_);
+  // Rotations so far; parity picks the token slot.
+  uint64_t epoch_ GUARDED_BY(mu_) = 0;
+  uint64_t last_repair_nanos_ GUARDED_BY(mu_) = 0;
+  // Committed writers that have not released their apply token, by
+  // epoch parity.
+  std::atomic<uint64_t> inflight_[2] = {0, 0};
+
+  std::atomic<uint64_t> syncs_{0}, groups_{0}, writers_{0};
 };
 
 class WalReader {

@@ -238,7 +238,7 @@ TEST(FloDBRecoveryTest, BatchRecordsReplayInLogOrder) {
     ASSERT_TRUE(env.NewWritableFile("/db/wal-000001.log", &file).ok());
     WalWriter writer(std::move(file));
     auto add = [&](const WriteBatch& batch) {
-      return writer.AddBatch(static_cast<uint32_t>(batch.Count()), Slice(batch.rep()));
+      return writer.Add(WalRecord::Batch(static_cast<uint32_t>(batch.Count()), Slice(batch.rep())));
     };
     WriteBatch first;
     first.Put(Slice(K(1)), Slice("first"));

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -32,7 +33,7 @@ class WalTest : public ::testing::Test {
 
 // Appends `batch` as one WAL batch record.
 Status AddBatch(WalWriter* writer, const WriteBatch& batch) {
-  return writer->AddBatch(static_cast<uint32_t>(batch.Count()), Slice(batch.rep()));
+  return writer->Add(WalRecord::Batch(static_cast<uint32_t>(batch.Count()), Slice(batch.rep())));
 }
 
 // Appends a one-entry batch record holding key -> value.
@@ -160,14 +161,14 @@ TEST_F(WalTest, PrepareRecordsReplayOnlyWhenVouchedFor) {
 
   auto writer = NewWriter("/wal");
   ASSERT_TRUE(writer
-                  ->AddPrepare(7, Slice(participants),
-                               static_cast<uint32_t>(committed_batch.Count()),
-                               Slice(committed_batch.rep()))
+                  ->Add(WalRecord::Prepare(7, Slice(participants),
+                                           static_cast<uint32_t>(committed_batch.Count()),
+                                           Slice(committed_batch.rep())))
                   .ok());
   ASSERT_TRUE(writer
-                  ->AddPrepare(9, Slice(participants),
-                               static_cast<uint32_t>(orphaned_batch.Count()),
-                               Slice(orphaned_batch.rep()))
+                  ->Add(WalRecord::Prepare(9, Slice(participants),
+                                           static_cast<uint32_t>(orphaned_batch.Count()),
+                                           Slice(orphaned_batch.rep())))
                   .ok());
   ASSERT_TRUE(AddPut(writer.get(), Slice("after"), Slice("v")).ok());
   ASSERT_TRUE(writer->Close().ok());
@@ -210,8 +211,7 @@ TEST_F(WalTest, PrepareRecordsSkippedWithoutCallback) {
   PutVarint32(&participants, 1);
   PutVarint32(&participants, 0);
   auto writer = NewWriter("/wal");
-  ASSERT_TRUE(
-      writer->AddPrepare(3, Slice(participants), 1, Slice(batch.rep())).ok());
+  ASSERT_TRUE(writer->Add(WalRecord::Prepare(3, Slice(participants), 1, Slice(batch.rep()))).ok());
   ASSERT_TRUE(writer->Close().ok());
   auto reader = NewReader("/wal");
   int count = 0;
@@ -262,6 +262,47 @@ TEST_F(WalTest, UnknownRecordTagIsCorruption) {
         [&](const Slice& key, const Slice&, ValueType) { replayed.push_back(key.ToString()); });
     EXPECT_TRUE(s.IsCorruption()) << s.ToString();
     EXPECT_EQ(replayed, (std::vector<std::string>{"before"}));
+  }
+}
+
+// The on-disk bytes of one batch record, one prepare and one txn commit
+// marker, pinned so the framing cannot drift: a log written by one build
+// must replay under the next.
+TEST_F(WalTest, GoldenRecordBytes) {
+  WriteBatch batch;
+  batch.Put(Slice("k1"), Slice("v1"));
+  batch.Delete(Slice("k2"));
+  WriteBatch one;
+  one.Put(Slice("key"), Slice("value"));
+  std::string participants;  // shard set {0, 3}
+  PutVarint32(&participants, 2);
+  PutVarint32(&participants, 0);
+  PutVarint32(&participants, 3);
+
+  struct Golden {
+    WalRecord record;
+    std::vector<uint8_t> bytes;
+  };
+  const Golden cases[] = {
+      {WalRecord::Batch(static_cast<uint32_t>(batch.Count()), Slice(batch.rep())),
+       {0xad, 0x6b, 0x35, 0x4f, 0x0e, 0x00, 0x00, 0x00, 0x02, 0x02, 0x00,
+        0x02, 0x6b, 0x31, 0x02, 0x76, 0x31, 0x01, 0x02, 0x6b, 0x32, 0x00}},
+      {WalRecord::Prepare(300, Slice(participants), static_cast<uint32_t>(one.Count()),
+                          Slice(one.rep())),
+       {0x6f, 0xf6, 0x56, 0xeb, 0x12, 0x00, 0x00, 0x00, 0x03, 0xac, 0x02, 0x02, 0x00,
+        0x03, 0x01, 0x00, 0x03, 0x6b, 0x65, 0x79, 0x05, 0x76, 0x61, 0x6c, 0x75, 0x65}},
+      {WalRecord::TxnCommit(300),
+       {0x69, 0xd2, 0x5b, 0x97, 0x03, 0x00, 0x00, 0x00, 0x01, 0xac, 0x02}},
+  };
+  for (size_t i = 0; i < std::size(cases); ++i) {
+    SCOPED_TRACE("record " + std::to_string(i));
+    const std::string name = "/golden" + std::to_string(i);
+    auto writer = NewWriter(name);
+    ASSERT_TRUE(writer->Add(cases[i].record).ok());
+    ASSERT_TRUE(writer->Close().ok());
+    std::string contents;
+    ASSERT_TRUE(ReadFileToString(&env_, name, &contents).ok());
+    EXPECT_EQ(std::vector<uint8_t>(contents.begin(), contents.end()), cases[i].bytes);
   }
 }
 
