@@ -26,12 +26,6 @@ TABLE = check_gates.load_json(check_gates.TABLE)
 EXTRA = {
     "fig_sync_write": lambda row: {"syncs_per_write": 1.0 if row["threads"] == 1 else 0.21},
     "fig_compaction": lambda row: {"write_amp": 2.5, "space_amp": 1.4, "compactions": 3},
-    "fig_large_skew": lambda row: {
-        "mode": "inline" if row["store"] == "FloDB-inline" else "separated",
-        "churn_writes": 5000, "reads": 2000,
-        "vlog_bytes_written": 0 if row["store"] == "FloDB-inline" else 4e6,
-        "write_amp": 6.0 if row["store"] == "FloDB-inline" else 2.4,
-        "read_p99_us": 120 if row["store"] == "FloDB-inline" else 110},
 }
 
 # Figures with no baseline file: hand-written rows in the figure's shape.

@@ -33,11 +33,7 @@ size_t ComputeMemtableTarget(const FloDbOptions& options) {
 FloDB::FloDB(const FloDbOptions& options)
     : options_(options),
       memtable_target_bytes_(ComputeMemtableTarget(options)),
-      // The value log syncs ahead of every WAL fsync: a group's records may
-      // point into vlog bytes still in the OS page cache (docs/STORAGE.md
-      // §10). disk_ exists whenever the WAL is open.
-      wal_(options.disk.env, std::bind_front(&FloDB::WalFileName, this),
-           [this] { return disk_->SyncValueLog(); }) {}
+      wal_(options.disk.env, std::bind_front(&FloDB::WalFileName, this)) {}
 
 MemBuffer* FloDB::NewMembuffer() const {
   MemBuffer::Options mo;
@@ -47,27 +43,11 @@ MemBuffer* FloDB::NewMembuffer() const {
   if (mo.capacity_bytes < (64u << 10)) {
     mo.capacity_bytes = 64u << 10;
   }
-  mo.dead_pointer_fn = MakeDeadPointerFn();
   return new MemBuffer(mo);
 }
 
 MemTable* FloDB::NewMemTable() const {
-  return new MemTable(memtable_target_bytes_, MakeDeadPointerFn());
-}
-
-DeadPointerFn FloDB::MakeDeadPointerFn() const {
-  if (disk_ == nullptr || !disk_->SeparationEnabled()) {
-    return {};
-  }
-  // Hot-key overwrites replace a pointer entry in place in the memory
-  // component; the dead vlog record's bytes would otherwise never be
-  // charged to garbage accounting (only flush/compaction dedup charge)
-  // and the GC picker could not see them. The disk component outlives
-  // every memory structure (destroyed last in ~FloDB), so the raw
-  // capture is safe.
-  return [disk = disk_.get()](const Slice& pointer_value) {
-    disk->ReportVlogGarbage(pointer_value);
-  };
+  return new MemTable(memtable_target_bytes_);
 }
 
 Status FloDB::Open(const FloDbOptions& options, std::unique_ptr<FloDB>* out) {
@@ -96,9 +76,6 @@ Status FloDB::Open(const FloDbOptions& options, CrossShardTxnRecovery* txn_recov
     // One FloDB is one shard; the range-partitioned facade lives a level
     // above so this cannot silently ignore the requested parallelism.
     return Status::InvalidArgument("shards > 1 requires ShardedKVStore::Open");
-  }
-  if (!options.enable_persistence && options.disk.value_separation_threshold > 0) {
-    return Status::InvalidArgument("value separation requires persistence");
   }
 
   auto db = std::unique_ptr<FloDB>(new FloDB(options));
@@ -161,68 +138,6 @@ void FloDB::WaitForMemtableHeadroom() {
   }
 }
 
-Status FloDB::SeparateLargeValues(WriteBatch* batch, WriteBatch* shadow,
-                                  std::vector<uint64_t>* pins, WriteBatch** commit) {
-  *commit = batch;
-  const int64_t threshold = options_.disk.value_separation_threshold;
-
-  // First pass: most batches carry no large value, and then the original
-  // rep commits untouched (and byte-identical to a separation-free build).
-  bool any = false;
-  Status s = batch->ForEach([&](const Slice&, const Slice& value, ValueType type) {
-    any = any ||
-          (type == ValueType::kValue && static_cast<int64_t>(value.size()) >= threshold);
-  });
-  if (!s.ok() || !any) {
-    return s;
-  }
-
-  // Second pass: rebuild with pointers in place of the large values. The
-  // appends happen BEFORE the WAL commit; the group leader syncs the vlog
-  // ahead of the WAL so a durable record never references lost bytes. A
-  // crash between here and the commit only strands garbage records in the
-  // vlog (reclaimed by GC), never a dangling pointer.
-  //
-  // The per-entry append error is tracked separately from ForEach's own
-  // rep-parse status: ForEach returns OK for a well-formed rep even when
-  // the lambda bailed early, and letting it overwrite the append error
-  // would commit a truncated shadow batch — silently dropping the failed
-  // entry and everything after it.
-  Status append_error;
-  s = batch->ForEach([&](const Slice& key, const Slice& value, ValueType type) {
-    if (!append_error.ok()) {
-      return;
-    }
-    if (type == ValueType::kValue && static_cast<int64_t>(value.size()) >= threshold) {
-      std::string pointer;
-      uint64_t pinned = 0;
-      Status as = disk_->AppendToValueLog(key, value, &pointer, &pinned);
-      if (!as.ok()) {
-        append_error = as;
-        return;
-      }
-      if (std::find(pins->begin(), pins->end(), pinned) == pins->end()) {
-        pins->push_back(pinned);
-      }
-      shadow->PutPointer(key, Slice(pointer));
-    } else if (type == ValueType::kTombstone) {
-      shadow->Delete(key);
-    } else if (type == ValueType::kValuePointer) {
-      shadow->PutPointer(key, value);
-    } else {
-      shadow->Put(key, value);
-    }
-  });
-  if (!s.ok()) {
-    return s;
-  }
-  if (!append_error.ok()) {
-    return append_error;
-  }
-  *commit = shadow;
-  return Status::OK();
-}
-
 void FloDB::PendingWrite::Release() {
   if (db == nullptr) {
     return;
@@ -231,24 +146,12 @@ void FloDB::PendingWrite::Release() {
     db->wal_.ReleaseToken(token_slot);
     token_slot = -1;
   }
-  for (uint64_t file : vlog_pins) {
-    db->disk_->UnpinVlogFile(file);
-  }
-  vlog_pins.clear();
 }
 
 Status FloDB::LogBatch(const WriteOptions& options, WriteBatch* batch, uint64_t txn_id,
                        const Slice& participants, PendingWrite* pending) {
   pending->db = this;
   pending->batch = batch;
-  // Value separation: rewrite qualifying values as vlog pointers first;
-  // *pending pins the touched vlog files until the batch lands in memory.
-  if (disk_ != nullptr && disk_->SeparationEnabled()) {
-    Status s = SeparateLargeValues(batch, &pending->shadow, &pending->vlog_pins, &pending->batch);
-    if (!s.ok()) {
-      return s;
-    }
-  }
   if (!options_.enable_wal) {
     return Status::OK();
   }
@@ -439,58 +342,35 @@ Status FloDB::Get(const ReadOptions& options, const Slice& key, std::string* val
     gets_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  // A hit may carry a kValuePointer: *value then holds an encoded pointer
-  // into a vlog file, resolved through the disk component. Resolution can
-  // lose a benign race with vlog GC — the disk Get releases its pinned
-  // Version before we resolve, and GC may retire the victim file in that
-  // window — so one retry re-reads the (by then rewritten) pointer. A
-  // second failure is a real error and surfaces.
-  for (int attempt = 0;; ++attempt) {
-    ValueType type = ValueType::kValue;
-    Status s;
-    bool found = false;
-    bool resolve_failed = false;
-    {
-      RcuReadGuard guard(rcu_);
+  RcuReadGuard guard(rcu_);
 
-      // Freshest-first order: MBF, IMM_MBF, MTB, IMM_MTB, DISK (Algorithm 2).
-      for (MemBuffer* buffer : {mbf_.load(std::memory_order_seq_cst),
-                                imm_mbf_.load(std::memory_order_seq_cst)}) {
-        if (!found && buffer != nullptr && buffer->Get(key, value, &type)) {
-          found = true;
-        }
-      }
-      uint64_t seq;
-      for (MemTable* table : {mtb_.load(std::memory_order_seq_cst),
-                              imm_mtb_.load(std::memory_order_seq_cst)}) {
-        if (!found && table != nullptr && table->Get(key, value, &seq, &type)) {
-          found = true;
-        }
-      }
-      if (!found && disk_ != nullptr) {
-        s = disk_->Get(key, value, &seq, &type);
-        if (s.ok()) {
-          found = true;
-        } else if (!s.IsNotFound()) {
-          return s;
-        }
-      }
-      if (!found) {
-        return Status::NotFound();
-      }
-      if (type == ValueType::kTombstone) {
-        return Status::NotFound();
-      }
-      if (type == ValueType::kValuePointer) {
-        const std::string pointer = std::move(*value);
-        s = disk_->ResolveValuePointer(Slice(pointer), value);
-        resolve_failed = !s.ok();
-      }
-    }
-    if (!resolve_failed || attempt > 0) {
-      return s;
+  // Freshest-first order: MBF, IMM_MBF, MTB, IMM_MTB, DISK (Algorithm 2).
+  ValueType type = ValueType::kValue;
+  bool found = false;
+  for (MemBuffer* buffer : {mbf_.load(std::memory_order_seq_cst),
+                            imm_mbf_.load(std::memory_order_seq_cst)}) {
+    if (!found && buffer != nullptr && buffer->Get(key, value, &type)) {
+      found = true;
     }
   }
+  uint64_t seq;
+  for (MemTable* table : {mtb_.load(std::memory_order_seq_cst),
+                          imm_mtb_.load(std::memory_order_seq_cst)}) {
+    if (!found && table != nullptr && table->Get(key, value, &seq, &type)) {
+      found = true;
+    }
+  }
+  if (!found && disk_ != nullptr) {
+    Status s = disk_->Get(key, value, &seq, &type);
+    if (!s.ok()) {
+      return s;  // NotFound or a read error
+    }
+    found = true;
+  }
+  if (!found || type == ValueType::kTombstone) {
+    return Status::NotFound();
+  }
+  return Status::OK();
 }
 
 Status FloDB::FlushAll() {
@@ -507,8 +387,7 @@ Status FloDB::FlushAll() {
 
   // 2. Persist Memtables until memory is empty. Bail out on shutdown:
   // the persist thread is gone then, so the wait below would never make
-  // progress (the vlog GC thread flushes through here and must not hang
-  // StopBackgroundThreads).
+  // progress.
   while (!stop_.load(std::memory_order_relaxed)) {
     bool empty;
     {
@@ -543,50 +422,6 @@ Status FloDB::CompactRange(const Slice& begin, const Slice& end) {
     return Status::OK();
   }
   return disk_->CompactRange(begin, end);
-}
-
-Status FloDB::CompactValueLogGarbage(bool* performed, std::vector<uint64_t>* victims_out) {
-  if (performed != nullptr) {
-    *performed = false;
-  }
-  if (victims_out != nullptr) {
-    victims_out->clear();
-  }
-  if (disk_ == nullptr || !disk_->SeparationEnabled()) {
-    return Status::OK();
-  }
-  // One round collects EVERY file over the garbage ratio: the table
-  // rewrites that relocate pointers dominate GC cost and each table
-  // usually references many vlog files, so batching the victims rewrites
-  // each table once instead of once per victim.
-  std::vector<uint64_t> victims;
-  {
-    MutexLock lock(vlog_gc_mu_);
-    if (!disk_->PickVlogGcVictims(&victims, &vlog_gc_quarantined_)) {
-      return Status::OK();
-    }
-  }
-  if (victims_out != nullptr) {
-    *victims_out = victims;
-  }
-  // GC barrier discipline (docs/STORAGE.md §10): wait out write-path pins
-  // on the victims, flush memory so no pointer into them hides in a
-  // Memtable, then rewrite every on-disk pointer. After CompactVlogFiles
-  // the victims are deregistered; the files themselves are unlinked only
-  // once no pinned Version references them.
-  for (uint64_t victim : victims) {
-    disk_->WaitVlogUnpinned(victim);
-  }
-  Status s = FlushAll();
-  if (!s.ok() || stop_.load(std::memory_order_relaxed)) {
-    return s;
-  }
-  uint64_t rewrites = 0;
-  s = disk_->CompactVlogFiles(victims, &rewrites);
-  if (s.ok() && performed != nullptr) {
-    *performed = true;
-  }
-  return s;
 }
 
 size_t FloDB::MembufferLiveEntries() const {
@@ -637,11 +472,6 @@ StoreStats FloDB::GetStats() const {
   stats.persist_failures = persist_failures_.load(std::memory_order_relaxed);
   stats.txn_prepares = txn_prepares_.load(std::memory_order_relaxed);
   stats.orphaned_prepares = orphaned_prepares_.load(std::memory_order_relaxed);
-  stats.vlog_gc_failures = vlog_gc_failed_rounds_.load(std::memory_order_relaxed);
-  {
-    MutexLock lock(vlog_gc_mu_);
-    stats.vlog_gc_quarantined = vlog_gc_quarantined_.size();
-  }
   if (disk_ != nullptr) {
     stats.disk = disk_->GetStats();
   }

@@ -34,9 +34,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -91,19 +89,6 @@ class FloDB final : public KVStore {
   StoreStats GetStats() const override;
   std::string Name() const override { return "FloDB"; }
 
-  // One deterministic round of value-log garbage collection: if some
-  // sealed vlog file crossed the garbage-ratio trigger, waits out
-  // in-flight write pins, flushes memory (so no pointer into the victim
-  // hides in a Memtable) and rewrites the victim's live records. The
-  // background GC thread runs exactly this; tests call it directly.
-  // *performed (optional) reports whether a victim was collected, and
-  // *victim (optional) which vlog file was attempted — filled even on
-  // failure so the GC loop can quarantine a victim that keeps failing
-  // (e.g. an unreadable record). No-op OK when value separation is
-  // disabled.
-  Status CompactValueLogGarbage(bool* performed = nullptr,
-                                std::vector<uint64_t>* victims_out = nullptr);
-
   // ---- introspection for tests and benchmarks ----
   uint64_t CurrentSeq() const { return global_seq_.load(std::memory_order_relaxed); }
   size_t MembufferLiveEntries() const;
@@ -137,7 +122,6 @@ class FloDB final : public KVStore {
   void StopBackgroundThreads() EXCLUDES(persist_mu_);
   void DrainLoop();
   void PersistLoop();
-  void VlogGcLoop();
   // One unit of cooperative help on the immutable Membuffer; returns true
   // if a chunk was processed.
   bool HelpDrainImmMembuffer();
@@ -170,11 +154,9 @@ class FloDB final : public KVStore {
   // One pass over MTB+IMM_MTB+DISK collecting up to `limit` live entries
   // from `start` (exclusive when `exclusive_start`). Returns true on
   // success, false if a seq violation demands a restart. `validate`
-  // disables seq checks for the fallback path. kValuePointer entries are
-  // resolved through the value log inside the pass (the disk iterator
-  // pins its Version, which keeps the referenced vlog files alive); a
-  // resolution failure is a hard error reported through *error with the
-  // pass cut short (returning true — no restart would fix it).
+  // disables seq checks for the fallback path. A disk read failure (the
+  // merged iterator's status) is a hard error reported through *error
+  // (returning true — no restart would fix it).
   bool ScanPass(const Slice& start, const Slice& high_key, size_t limit, uint64_t scan_seq,
                 bool validate, bool exclusive_start, std::vector<ScanEntry>* out,
                 Status* error);
@@ -191,11 +173,7 @@ class FloDB final : public KVStore {
                     const Slice& high_key, size_t limit, std::vector<ScanEntry>* out);
 
   MemBuffer* NewMembuffer() const;
-  // A Memtable wired (when value separation is on) to report in-place
-  // superseded vlog pointers to the disk component's garbage accounting.
   MemTable* NewMemTable() const;
-  // The DeadPointerFn both factories install; null when separation is off.
-  DeadPointerFn MakeDeadPointerFn() const;
 
   // Swaps in a fresh Membuffer, synchronizes, and fully drains the old one
   // (with help from spilling writers). Returns the drained-out buffer,
@@ -208,53 +186,33 @@ class FloDB final : public KVStore {
   void CleanupImmMembuffer(MemBuffer* old) REQUIRES(master_mu_);
   bool HelpDrainChunk(MemBuffer* imm);
 
-  // ---- value separation (DESIGN.md §13) ----
-
-  // If the disk component separates values and `batch` holds one whose
-  // size reaches the threshold, appends those values to the value log
-  // and rebuilds the batch in *shadow with kValuePointer entries in
-  // their place; *commit then points at the shadow (at the original
-  // batch otherwise, with no copy made). The touched vlog files are
-  // pinned and recorded in *pins — the caller MUST UnpinVlogFile each
-  // after the batch reached the memory component (or failed for good),
-  // so GC never retires a file whose only reference is still in flight.
-  Status SeparateLargeValues(WriteBatch* batch, WriteBatch* shadow,
-                             std::vector<uint64_t>* pins, WriteBatch** commit);
-
   // ---- durability pipeline (DESIGN.md §10) ----
 
   // A batch between the commit front half (LogBatch) and memory: the
-  // batch as logged, the vlog files its pointers pin and its WAL apply
-  // token. Destruction releases the token and the pins, so a write that
-  // fails or is abandoned after its commit leaks neither, and GC cannot
-  // retire a vlog file whose only pointer sits in an unapplied batch or
-  // cross-shard prepare.
+  // batch as logged and its WAL apply token. Destruction releases the
+  // token, so a write that fails or is abandoned after its commit cannot
+  // wedge the persist thread's pre-swap drain.
   struct PendingWrite {
     PendingWrite() = default;
     PendingWrite(const PendingWrite&) = delete;
     PendingWrite& operator=(const PendingWrite&) = delete;
     ~PendingWrite() { Release(); }
-    // Releases the apply token and the vlog pins; idempotent.
+    // Releases the apply token; idempotent.
     void Release();
 
     FloDB* db = nullptr;
-    // As logged: the caller's batch, or `shadow` when large values were
-    // replaced by vlog pointers.
     WriteBatch* batch = nullptr;
-    WriteBatch shadow;
-    std::vector<uint64_t> vlog_pins;
     // -1: no token held.
     int token_slot = -1;
   };
 
-  // The commit front half shared by Write and PrepareBatch: separates
-  // large values, validates the rep (a malformed batch must fail here,
-  // not poison the WAL for the next recovery), waits for Memtable
-  // headroom and commits one WAL record through the group-commit queue.
-  // With txn_id != 0 the record is a cross-shard PREPARE carrying the
-  // participant set, and it always syncs: the router's commit marker
-  // must never be durable ahead of a participant's prepare. Without a
-  // WAL only the separation runs.
+  // The commit front half shared by Write and PrepareBatch: validates the
+  // rep (a malformed batch must fail here, not poison the WAL for the
+  // next recovery), waits for Memtable headroom and commits one WAL
+  // record through the group-commit queue. With txn_id != 0 the record is
+  // a cross-shard PREPARE carrying the participant set, and it always
+  // syncs: the router's commit marker must never be durable ahead of a
+  // participant's prepare. Without a WAL it does nothing.
   Status LogBatch(const WriteOptions& options, WriteBatch* batch, uint64_t txn_id,
                   const Slice& participants, PendingWrite* pending);
 
@@ -272,7 +230,7 @@ class FloDB final : public KVStore {
 
   // Phase 1: durably logs this shard's slice of cross-shard transaction
   // `txn_id` as a prepare record WITHOUT applying it to memory. On OK
-  // *pending holds the apply token and the vlog pins until exactly one
+  // *pending holds the apply token until exactly one
   // of ApplyPreparedBatch / AbandonPrepare.
   Status PrepareBatch(const WriteOptions& options, WriteBatch* batch, uint64_t txn_id,
                       const Slice& participants, PendingWrite* pending);
@@ -351,18 +309,7 @@ class FloDB final : public KVStore {
 
   std::thread drain_thread_;  // started only when the Membuffer is enabled
   std::thread persist_thread_;
-  std::thread vlog_gc_thread_;  // started only when separation is enabled
   std::atomic<bool> stop_{false};
-
-  // Vlog GC victims that failed kGcQuarantineThreshold consecutive
-  // rounds (e.g. an unreadable record): skipped by the picker so a
-  // permanently corrupt file cannot wedge the GC loop into hot-retrying
-  // WaitVlogUnpinned + FlushAll + a failing compaction forever. Surfaced
-  // via the vlog_gc_quarantined stat.
-  mutable Mutex vlog_gc_mu_;
-  std::set<uint64_t> vlog_gc_quarantined_ GUARDED_BY(vlog_gc_mu_);
-  // victim -> consecutive failures
-  std::map<uint64_t, int> vlog_gc_failures_ GUARDED_BY(vlog_gc_mu_);
 
   // Stats.
   mutable std::atomic<uint64_t> puts_{0}, gets_{0}, deletes_{0}, scans_{0};
@@ -375,7 +322,6 @@ class FloDB final : public KVStore {
   mutable std::atomic<uint64_t> membuffer_rotations_{0};
   mutable std::atomic<uint64_t> persist_failures_{0};
   mutable std::atomic<uint64_t> txn_prepares_{0}, orphaned_prepares_{0};
-  mutable std::atomic<uint64_t> vlog_gc_failed_rounds_{0};
 };
 
 }  // namespace flodb

@@ -27,9 +27,6 @@ void FloDB::StartBackgroundThreads() {
     drain_thread_ = std::thread([this] { DrainLoop(); });
   }
   persist_thread_ = std::thread([this] { PersistLoop(); });
-  if (disk_ != nullptr && disk_->SeparationEnabled()) {
-    vlog_gc_thread_ = std::thread([this] { VlogGcLoop(); });
-  }
 }
 
 void FloDB::StopBackgroundThreads() {
@@ -41,107 +38,11 @@ void FloDB::StopBackgroundThreads() {
     stop_.store(true, std::memory_order_seq_cst);
   }
   TriggerPersist();
-  // The GC thread first: its rounds call FlushAll, which needs the
-  // persist thread alive to make progress (FlushAll bails on stop_, but
-  // an already-running flush finishes fastest with the thread present).
-  if (vlog_gc_thread_.joinable()) {
-    vlog_gc_thread_.join();
-  }
   if (drain_thread_.joinable()) {
     drain_thread_.join();
   }
   if (persist_thread_.joinable()) {
     persist_thread_.join();
-  }
-}
-
-// Garbage-ratio-triggered vlog GC (DESIGN.md §13). Runs outside
-// PersistLoop on purpose: a GC round flushes the memory component, and
-// the persist thread cannot wait on itself. Polling is cheap —
-// PickVlogGcVictims is a walk over the (small) live-vlog map. A round
-// batches every file over the garbage ratio so the pointer-relocating
-// table rewrites run once per table, not once per victim.
-//
-// Failed rounds back off exponentially (10ms doubling to 5s) instead of
-// hot-retrying: a round failure usually means the victim is unreadable
-// (e.g. a corrupt record), and each retry is expensive — it waits out
-// pinned readers and flushes the whole memory component before the
-// rewrite fails again. A victim that fails kGcQuarantineAfter rounds in
-// a row is quarantined (skipped by the picker) so one broken file cannot
-// starve GC of every other file; the quarantine is surfaced through
-// StoreStats::vlog_gc_quarantined and lasts until the store reopens.
-void FloDB::VlogGcLoop() {
-  constexpr auto kGcIdleSleep = std::chrono::milliseconds(10);
-  constexpr auto kGcCooldown = std::chrono::milliseconds(500);
-  constexpr auto kGcMaxBackoff = std::chrono::milliseconds(5000);
-  constexpr int kGcQuarantineAfter = 3;
-  auto backoff = kGcIdleSleep;
-  // Sleep in short stop_-checked slices so shutdown never waits out a
-  // full backoff interval.
-  auto interruptible_sleep = [this](std::chrono::milliseconds total) {
-    constexpr auto kSlice = std::chrono::milliseconds(10);
-    while (total.count() > 0 && !stop_.load(std::memory_order_relaxed)) {
-      auto chunk = std::min(total, kSlice);
-      std::this_thread::sleep_for(chunk);
-      total -= chunk;
-    }
-  };
-  while (!stop_.load(std::memory_order_relaxed)) {
-    bool performed = false;
-    std::vector<uint64_t> victims;
-    Status s = CompactValueLogGarbage(&performed, &victims);
-    if (!s.ok()) {
-      vlog_gc_failed_rounds_.fetch_add(1, std::memory_order_relaxed);
-      // A batched round does not know which victim broke it, so every
-      // victim of the failed round takes a strike. An innocent file can
-      // only be struck while some broken file stays eligible, and it
-      // leaves quarantine at reopen — acceptable collateral for keeping
-      // the retry loop bounded.
-      size_t newly_quarantined = 0;
-      {
-        MutexLock lock(vlog_gc_mu_);
-        for (uint64_t victim : victims) {
-          if (++vlog_gc_failures_[victim] >= kGcQuarantineAfter) {
-            vlog_gc_quarantined_.insert(victim);
-            vlog_gc_failures_.erase(victim);
-            ++newly_quarantined;
-          }
-        }
-      }
-      if (newly_quarantined > 0) {
-        fprintf(stderr,
-                "flodb: vlog GC round failed %d times over %zu file(s), "
-                "quarantining %zu of them: %s\n",
-                kGcQuarantineAfter, victims.size(), newly_quarantined,
-                s.ToString().c_str());
-      } else {
-        fprintf(stderr, "flodb: vlog GC round failed (will retry): %s\n", s.ToString().c_str());
-      }
-      interruptible_sleep(backoff);
-      backoff = std::min(backoff * 2, kGcMaxBackoff);
-      continue;
-    }
-    backoff = kGcIdleSleep;
-    if (performed && !victims.empty()) {
-      {
-        MutexLock lock(vlog_gc_mu_);
-        for (uint64_t victim : victims) {
-          vlog_gc_failures_.erase(victim);
-        }
-      }
-      // Cooldown after a productive round. Under sustained overwrite
-      // churn, files cross the garbage ratio continuously; back-to-back
-      // rounds would relocate the same live records over and over, each
-      // relocation at ratio r moving (1-r)/r live bytes per reclaimed
-      // byte. Waiting lets garbage concentrate so the next round moves
-      // fewer live bytes — transient space traded for write-amp. Manual
-      // CompactValueLogGarbage callers (tests, drain loops) are not
-      // throttled.
-      interruptible_sleep(kGcCooldown);
-    }
-    if (!performed) {
-      std::this_thread::sleep_for(kGcIdleSleep);
-    }
   }
 }
 
@@ -492,19 +393,6 @@ Status FloDB::RecoverFromWal(CrossShardTxnRecovery* txn_recovery) {
     WalReader reader(std::move(file));
     s = reader.ReplayUpdates(
         [&](const Slice& key, const Slice& value, ValueType type) {
-          if (type == ValueType::kValuePointer && disk_ != nullptr) {
-            // A pointer record can outlive its vlog bytes only for a
-            // write that was never durably acked (sync writers get the
-            // vlog fsync'd before the WAL record — docs/STORAGE.md §10),
-            // e.g. when OS writeback persisted the WAL page but not the
-            // vlog page before a power cut. Losing such a write is
-            // legal; replaying a dangling pointer is not. Verify and
-            // drop the strays (CRC framing catches torn targets).
-            std::string resolved;
-            if (!disk_->ResolveValuePointer(value, &resolved).ok()) {
-              return;
-            }
-          }
           const uint64_t seq = global_seq_.fetch_add(1, std::memory_order_relaxed);
           mtb->Add(key, value, seq, type);
           ++replayed;

@@ -76,27 +76,12 @@ bool FloDB::ScanPass(const Slice& start, const Slice& high_key, size_t limit, ui
     if (merged->type() == ValueType::kTombstone) {
       continue;
     }
-    std::string value;
-    if (merged->type() == ValueType::kValuePointer) {
-      // Safe against GC here: the disk iterator's pinned Version keeps
-      // its referenced vlog files alive (file GC unions vlog refs over
-      // EVERY pinned version), and in-memory pointers cannot lose their
-      // target while this RCU section blocks the persist grace period.
-      Status rs = disk_ != nullptr
-                      ? disk_->ResolveValuePointer(merged->value(), &value)
-                      : Status::Corruption("value pointer without a disk component");
-      if (!rs.ok()) {
-        *error = rs;
-        return true;
-      }
-    } else {
-      value = merged->value().ToString();
-    }
-    out->push_back(ScanEntry{last_key, std::move(value), merged->seq()});
+    out->push_back(ScanEntry{last_key, merged->value().ToString(), merged->seq()});
     if (limit != 0 && out->size() >= limit) {
       break;
     }
   }
+  *error = merged->status();
   return true;
 }
 
@@ -201,8 +186,8 @@ Status FloDB::FetchChunk(ScanTicket* ticket, const Slice& start, bool exclusive,
   for (int restarts = 0;;) {
     if (ScanPass(start, high_key, limit, ticket->seq, /*validate=*/true, exclusive, out,
                  &pass_error)) {
-      // A vlog resolution failure cuts the stream here with the error;
-      // restarting cannot fix an unreadable target.
+      // A disk read failure cuts the stream here with the error;
+      // restarting cannot fix an unreadable table.
       return pass_error;
     }
     scan_restarts_.fetch_add(1, std::memory_order_relaxed);

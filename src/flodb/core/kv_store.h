@@ -69,13 +69,6 @@ struct StoreStats {
   uint64_t piggyback_scans = 0;
   uint64_t membuffer_rotations = 0;
 
-  // Vlog GC health (zero unless value separation is on). A non-zero
-  // quarantine count means some vlog file repeatedly failed collection
-  // (likely an unreadable record) and is being skipped — its space will
-  // not be reclaimed until the corruption is repaired.
-  uint64_t vlog_gc_failures = 0;     // failed GC rounds (cumulative)
-  uint64_t vlog_gc_quarantined = 0;  // victims currently quarantined
-
   DiskComponent::Stats disk;
 };
 

@@ -381,9 +381,8 @@ Status ShardedKVStore::WriteAtomic(const WriteOptions& options, std::vector<Writ
     }
   }
 
-  // Each touched shard's slice as logged (large values already in that
-  // shard's vlog); it holds the apply token and the vlog pins until it is
-  // applied or abandoned.
+  // Each touched shard's slice as logged; it holds the apply token until
+  // it is applied or abandoned.
   std::vector<FloDB::PendingWrite> prepared(shards_.size());
 
   // Phases 1 + 2 only exist with a WAL: without one there is no crash
@@ -540,8 +539,6 @@ StoreStats ShardedKVStore::GetStats() const {
     total.persist_failures += s.persist_failures;
     total.txn_prepares += s.txn_prepares;
     total.orphaned_prepares += s.orphaned_prepares;
-    total.vlog_gc_failures += s.vlog_gc_failures;
-    total.vlog_gc_quarantined += s.vlog_gc_quarantined;
     total.disk.bytes_flushed += s.disk.bytes_flushed;
     total.disk.bytes_compacted_in += s.disk.bytes_compacted_in;
     total.disk.bytes_compacted_out += s.disk.bytes_compacted_out;
@@ -556,13 +553,6 @@ StoreStats ShardedKVStore::GetStats() const {
     total.disk.table_cache_misses += s.disk.table_cache_misses;
     total.disk.table_cache_evictions += s.disk.table_cache_evictions;
     total.disk.table_cache_entries += s.disk.table_cache_entries;
-    total.disk.vlog_files += s.disk.vlog_files;
-    total.disk.vlog_bytes += s.disk.vlog_bytes;
-    total.disk.vlog_bytes_written += s.disk.vlog_bytes_written;
-    total.disk.vlog_writes += s.disk.vlog_writes;
-    total.disk.vlog_reads += s.disk.vlog_reads;
-    total.disk.vlog_garbage_bytes += s.disk.vlog_garbage_bytes;
-    total.disk.vlog_gc_rewrites += s.disk.vlog_gc_rewrites;
     if (total.disk.files_per_level.size() < s.disk.files_per_level.size()) {
       total.disk.files_per_level.resize(s.disk.files_per_level.size(), 0);
     }

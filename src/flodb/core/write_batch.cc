@@ -17,10 +17,6 @@ void WriteBatch::Put(const Slice& key, const Slice& value) {
 
 void WriteBatch::Delete(const Slice& key) { AppendEntry(key, Slice(), ValueType::kTombstone); }
 
-void WriteBatch::PutPointer(const Slice& key, const Slice& pointer) {
-  AppendEntry(key, pointer, ValueType::kValuePointer);
-}
-
 void WriteBatch::Append(const WriteBatch& other) {
   rep_.append(other.rep_);
   count_ += other.count_;
@@ -43,8 +39,7 @@ Status WriteBatch::IterateRep(
   uint32_t seen = 0;
   while (!in.empty()) {
     const auto type = static_cast<ValueType>(in[0]);
-    if (type != ValueType::kValue && type != ValueType::kTombstone &&
-        type != ValueType::kValuePointer) {
+    if (type != ValueType::kValue && type != ValueType::kTombstone) {
       return Status::Corruption("bad entry type in write batch");
     }
     in.remove_prefix(1);

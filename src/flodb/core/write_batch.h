@@ -44,11 +44,6 @@ class WriteBatch {
   // Stages a deletion of key (a tombstone entry).
   void Delete(const Slice& key);
 
-  // Stages a value-pointer entry: `pointer` is an encoded ValuePointer
-  // into a vlog file (see disk/value_log.h). Internal to the value
-  // separation write path — user code should call Put with the real value.
-  void PutPointer(const Slice& key, const Slice& pointer);
-
   // Appends every entry of `other` after this batch's entries.
   void Append(const WriteBatch& other);
 

@@ -34,20 +34,12 @@ struct CompactionConfig {
 };
 
 // One unit of compaction work: merge `inputs_lo` (files at `level`) with
-// `inputs_hi` (overlapping files at `output_level`) into `output_level`
-// (level + 1 when left at -1; manual jobs — CompactRange, vlog GC — may
-// rewrite a level in place).
+// `inputs_hi` (overlapping files at `level + 1`) into `level + 1`.
 struct CompactionJob {
   int level = -1;
-  int output_level = -1;  // -1 = level + 1
   std::vector<FileMetaData> inputs_lo;
   std::vector<FileMetaData> inputs_hi;
   bool drop_tombstones = false;  // true when the output is bottommost for the range
-
-  // Vlog GC: kValuePointer entries into these files are resolved and
-  // re-appended to the active vlog so the victims lose their last
-  // references (see DiskComponent::CompactVlogFiles).
-  std::vector<uint64_t> rewrite_vlogs;
 };
 
 class CompactionPicker {

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 
 #include "flodb/common/coding.h"
 #include "flodb/disk/level_iterator.h"
@@ -73,11 +72,29 @@ Status DiskComponent::Open(const DiskOptions& options, std::unique_ptr<DiskCompo
     // turns off block caching.
     return Status::InvalidArgument("table_cache_entries must be >= 1");
   }
-  if (options.value_separation_threshold < 0) {
-    return Status::InvalidArgument("value_separation_threshold must be >= 0");
-  }
-  if (!(options.vlog_gc_garbage_ratio > 0.0) || options.vlog_gc_garbage_ratio > 1.0) {
-    return Status::InvalidArgument("vlog_gc_garbage_ratio must be in (0, 1]");
+  // One listing serves two checks. Older builds could move large values
+  // into *.vlog files (value separation); this build reads values inline
+  // only, so opening such a directory would silently lose every separated
+  // value. And a crash mid-compaction leaves orphan outputs (.sst files
+  // never installed in a version) numbered above the recovered counter;
+  // the bump below moves them under the GC barrier so the sweep can
+  // touch them.
+  uint64_t max_sst_number = 0;
+  {
+    std::vector<std::string> children;
+    if (options.env->GetChildren(options.path, &children).ok()) {
+      for (const std::string& name : children) {
+        if (name.size() >= 5 && name.substr(name.size() - 5) == ".vlog") {
+          return Status::NotSupported("found " + name +
+                                      ": directories written with value separation are not "
+                                      "supported");
+        }
+        if (name.size() >= 5 && name.substr(name.size() - 4) == ".sst") {
+          max_sst_number = std::max(
+              max_sst_number, static_cast<uint64_t>(strtoull(name.c_str(), nullptr, 10)));
+        }
+      }
+    }
   }
   auto dc = std::unique_ptr<DiskComponent>(new DiskComponent(options));
   if (options.block_cache_bytes > 0) {
@@ -94,67 +111,10 @@ Status DiskComponent::Open(const DiskOptions& options, std::unique_ptr<DiskCompo
   if (!s.ok()) {
     return s;
   }
-  // A crash mid-compaction leaves orphan outputs (.sst files never
-  // installed in a version) and possibly a stale manifest; sweep them
-  // before background work starts. The counter bump moves orphans below
-  // the GC barrier so the sweep can touch them.
+  dc->versions_->EnsureFileNumberAtLeast(max_sst_number + 1);
+  // Sweep orphans and a possibly stale manifest before background work
+  // starts.
   dc->options_.env->RemoveFile(options.path + "/CURRENT.tmp");
-  {
-    std::vector<std::string> children;
-    if (dc->options_.env->GetChildren(options.path, &children).ok()) {
-      uint64_t max_number = 0;
-      for (const std::string& name : children) {
-        const bool is_sst = name.size() >= 5 && name.substr(name.size() - 4) == ".sst";
-        const bool is_vlog = name.size() >= 6 && name.substr(name.size() - 5) == ".vlog";
-        if (is_sst || is_vlog) {
-          max_number = std::max(
-              max_number, static_cast<uint64_t>(strtoull(name.c_str(), nullptr, 10)));
-        }
-      }
-      dc->versions_->EnsureFileNumberAtLeast(max_number + 1);
-    }
-  }
-  // Value log: enabled by the threshold, and kept alive for reads/GC even
-  // at threshold 0 when the recovered version already owns vlog files
-  // (separation turned off on a previously separated store).
-  if (options.value_separation_threshold > 0 ||
-      !dc->versions_->Current()->VlogFiles().empty()) {
-    DiskComponent* raw = dc.get();
-    dc->value_log_ = std::make_unique<ValueLog>(
-        options.env, options.path, options.vlog_file_target_bytes,
-        [raw] {
-          // Shield the number from a sweep racing the creation→register
-          // window (same pending-outputs discipline as .sst outputs).
-          MutexLock lock(raw->pending_mu_);
-          const uint64_t number = raw->versions_->NewFileNumber();
-          raw->pending_outputs_.insert(number);
-          return number;
-        },
-        [raw](uint64_t number) {
-          VersionEdit edit;
-          edit.added_vlogs.push_back(number);
-          Status status = raw->versions_->LogAndApply(edit);
-          MutexLock lock(raw->pending_mu_);
-          raw->pending_outputs_.erase(number);
-          return status;
-        });
-    // A vlog registered in the MANIFEST but missing on disk was lost
-    // before any append to it was synced (registration precedes appends;
-    // vlog sync precedes any WAL sync or table install referencing it),
-    // so nothing durable points into it: deregister.
-    VersionEdit edit;
-    for (const auto& [number, garbage] : dc->versions_->Current()->VlogFiles()) {
-      if (!options.env->FileExists(VlogFileName(options.path, number))) {
-        edit.deleted_vlogs.push_back(number);
-      }
-    }
-    if (!edit.deleted_vlogs.empty()) {
-      s = dc->versions_->LogAndApply(edit);
-      if (!s.ok()) {
-        return s;
-      }
-    }
-  }
   dc->RemoveObsoleteFiles();
   for (int i = 0; i < options.compaction_threads; ++i) {
     dc->workers_.emplace_back([raw = dc.get()] { raw->BackgroundWork(); });
@@ -254,27 +214,14 @@ Status DiskComponent::AddRun(Iterator* iter) {
 
   std::string last_key;
   bool has_last = false;
-  std::set<uint64_t> vlog_refs;
-  std::map<uint64_t, uint64_t> vlog_garbage;  // vlog number -> dead bytes
-  auto vlog_pointer = [](const Slice& value, ValuePointer* ptr) {
-    return DecodeValuePointer(value, ptr);
-  };
   for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
     // First occurrence of a user key is the freshest (children are merged
     // key-asc/seq-desc); drop the rest.
     if (has_last && iter->key() == Slice(last_key)) {
-      ValuePointer ptr;
-      if (iter->type() == ValueType::kValuePointer && vlog_pointer(iter->value(), &ptr)) {
-        vlog_garbage[ptr.file_number] += ptr.length;  // record died with its entry
-      }
       continue;
     }
     last_key.assign(iter->key().data(), iter->key().size());
     has_last = true;
-    ValuePointer ptr;
-    if (iter->type() == ValueType::kValuePointer && vlog_pointer(iter->value(), &ptr)) {
-      vlog_refs.insert(ptr.file_number);
-    }
     builder.Add(iter->key(), iter->seq(), iter->type(), iter->value());
   }
   if (!iter->status().ok()) {
@@ -296,11 +243,6 @@ Status DiskComponent::AddRun(Iterator* iter) {
   if (s.ok()) {
     s = file->Close();
   }
-  if (s.ok() && value_log_ != nullptr && !vlog_refs.empty()) {
-    // An installed table must never reference unsynced vlog bytes (the
-    // no-WAL / sync=false paths reach here with the vlog still dirty).
-    s = value_log_->Sync();
-  }
   if (!s.ok()) {
     options_.env->RemoveFile(fname);
     return s;
@@ -314,37 +256,11 @@ Status DiskComponent::AddRun(Iterator* iter) {
   meta.largest = builder.largest_key().ToString();
   meta.smallest_seq = builder.smallest_seq();
   meta.largest_seq = builder.largest_seq();
-  meta.vlog_refs.assign(vlog_refs.begin(), vlog_refs.end());
-
-  // Fold garbage observed in the memory component into this flush's
-  // edit: the flush is the generation boundary — the WAL records that
-  // could replay (and re-derive) those deaths are deleted once this
-  // cycle completes, so this is the earliest point the counts may
-  // persist without double-counting across a crash. (Deaths staged
-  // while the table was being built belong to the next generation and
-  // fold one flush early — a bounded, benign over-count on crash.)
-  std::map<uint64_t, uint64_t> staged;
-  {
-    MutexLock lock(reported_garbage_mu_);
-    staged.swap(reported_garbage_);
-  }
-  for (const auto& [vlog_number, bytes] : staged) {
-    vlog_garbage[vlog_number] += bytes;
-  }
 
   VersionEdit edit;
   edit.added.emplace_back(0, std::move(meta));
-  for (const auto& [vlog_number, bytes] : vlog_garbage) {
-    edit.vlog_garbage.emplace_back(vlog_number, bytes);
-  }
   s = versions_->LogAndApply(edit);
   if (!s.ok()) {
-    // Re-stage so the observed garbage is not lost; a later flush or the
-    // live GC picker still sees it.
-    MutexLock lock(reported_garbage_mu_);
-    for (const auto& [vlog_number, bytes] : staged) {
-      reported_garbage_[vlog_number] += bytes;
-    }
     return s;
   }
   bytes_flushed_.fetch_add(builder.FileSize(), std::memory_order_relaxed);
@@ -503,18 +419,8 @@ Status DiskComponent::DoCompaction(const CompactionJob& job) {
   std::unique_ptr<Iterator> merged = NewMergingIterator(std::move(children));
 
   VersionEdit edit;
-  const int out_level = job.output_level >= 0 ? job.output_level : job.level + 1;
+  const int out_level = job.level + 1;
   uint64_t out_bytes = 0;
-  const std::set<uint64_t> gc_vlogs(job.rewrite_vlogs.begin(), job.rewrite_vlogs.end());
-  std::set<uint64_t> output_refs;                 // vlogs referenced by the current output
-  std::map<uint64_t, uint64_t> vlog_garbage;      // vlog number -> dead bytes
-  bool vlog_needs_sync = false;                   // fresh GC appends before install
-  auto account_dropped_pointer = [&](const Slice& value, ValueType type) {
-    ValuePointer ptr;
-    if (type == ValueType::kValuePointer && DecodeValuePointer(value, &ptr)) {
-      vlog_garbage[ptr.file_number] += ptr.length;
-    }
-  };
 
   std::unique_ptr<WritableFile> file;
   std::unique_ptr<TableBuilder> builder;
@@ -546,8 +452,6 @@ Status DiskComponent::DoCompaction(const CompactionJob& job) {
     meta.largest = builder->largest_key().ToString();
     meta.smallest_seq = builder->smallest_seq();
     meta.largest_seq = builder->largest_seq();
-    meta.vlog_refs.assign(output_refs.begin(), output_refs.end());
-    output_refs.clear();
     out_bytes += meta.file_size;
     edit.added.emplace_back(out_level, std::move(meta));
     builder.reset();
@@ -557,44 +461,15 @@ Status DiskComponent::DoCompaction(const CompactionJob& job) {
 
   std::string last_key;
   bool has_last = false;
-  std::string gc_value, gc_pointer;
   Status s;
   for (merged->SeekToFirst(); merged->Valid(); merged->Next()) {
     if (has_last && merged->key() == Slice(last_key)) {
-      account_dropped_pointer(merged->value(), merged->type());
       continue;  // older version of the same user key
     }
     last_key.assign(merged->key().data(), merged->key().size());
     has_last = true;
     if (job.drop_tombstones && merged->type() == ValueType::kTombstone) {
       continue;  // no deeper level can hold this key: tombstone retires
-    }
-    Slice value = merged->value();
-    ValuePointer ptr;
-    if (merged->type() == ValueType::kValuePointer) {
-      if (!DecodeValuePointer(value, &ptr)) {
-        return Status::Corruption("bad value pointer in compaction input");
-      }
-      if (gc_vlogs.count(ptr.file_number) != 0) {
-        // Vlog GC: move the live record out of the victim so the file
-        // loses its last references and can be retired.
-        s = value_log_->Read(ptr, &gc_value);
-        if (!s.ok()) {
-          return s;
-        }
-        ValuePointer moved;
-        s = value_log_->Append(merged->key(), gc_value, &moved, /*pin=*/false);
-        if (!s.ok()) {
-          return s;
-        }
-        gc_pointer.clear();
-        EncodeValuePointer(&gc_pointer, moved);
-        value = Slice(gc_pointer);
-        ptr = moved;
-        vlog_needs_sync = true;
-        vlog_gc_rewrites_.fetch_add(1, std::memory_order_relaxed);
-      }
-      output_refs.insert(ptr.file_number);
     }
     if (builder == nullptr) {
       pending.push_back(std::make_unique<PendingOutput>(this));
@@ -605,7 +480,7 @@ Status DiskComponent::DoCompaction(const CompactionJob& job) {
       }
       builder = std::make_unique<TableBuilder>(builder_options, file.get());
     }
-    builder->Add(merged->key(), merged->seq(), merged->type(), value);
+    builder->Add(merged->key(), merged->seq(), merged->type(), merged->value());
     if (builder->FileSize() + options_.block_bytes >= options_.sstable_target_bytes) {
       s = finish_output();
       if (!s.ok()) {
@@ -620,23 +495,12 @@ Status DiskComponent::DoCompaction(const CompactionJob& job) {
   if (!s.ok()) {
     return s;
   }
-  if (vlog_needs_sync) {
-    // The outputs reference freshly appended vlog bytes; they must be
-    // durable before the manifest installs tables pointing at them.
-    s = value_log_->Sync();
-    if (!s.ok()) {
-      return s;
-    }
-  }
 
   for (const FileMetaData& f : job.inputs_lo) {
     edit.deleted.emplace_back(job.level, f.number);
   }
   for (const FileMetaData& f : job.inputs_hi) {
     edit.deleted.emplace_back(out_level, f.number);
-  }
-  for (const auto& [vlog_number, bytes] : vlog_garbage) {
-    edit.vlog_garbage.emplace_back(vlog_number, bytes);
   }
   s = versions_->LogAndApply(edit);
   if (!s.ok()) {
@@ -668,9 +532,7 @@ void DiskComponent::RemoveObsoleteFiles() {
     pending = pending_outputs_;
   }
   std::set<uint64_t> live = versions_->AllLiveFileNumbers();
-  std::set<uint64_t> live_vlogs = versions_->AllLiveVlogNumbers();
   live.insert(pending.begin(), pending.end());
-  live_vlogs.insert(pending.begin(), pending.end());
   const uint64_t live_manifest = versions_->CurrentManifestNumber();
   std::vector<std::string> children;
   if (!options_.env->GetChildren(options_.path, &children).ok()) {
@@ -687,17 +549,6 @@ void DiskComponent::RemoveObsoleteFiles() {
       // which purges the file's blocks from the block cache.
       char buf[8];
       table_cache_->Erase(TableCacheKey(number, buf));
-    } else if (name.size() >= 6 && name.substr(name.size() - 5) == ".vlog") {
-      // Same barrier discipline as .sst: orphans of a crashed rotation or
-      // a GC'd victim go once no pinned version can resolve into them.
-      const uint64_t number = static_cast<uint64_t>(strtoull(name.c_str(), nullptr, 10));
-      if (number >= barrier || live_vlogs.count(number) != 0) {
-        continue;
-      }
-      options_.env->RemoveFile(options_.path + "/" + name);
-      if (value_log_ != nullptr) {
-        value_log_->EvictReader(number);
-      }
     } else if (name.rfind("MANIFEST-", 0) == 0) {
       // Failed or crashed snapshot writes strand manifests below the one
       // CURRENT points at. Higher numbers are never touched: one may be
@@ -802,10 +653,9 @@ Status DiskComponent::RunManualCompaction(
     const std::function<bool(const Version&, CompactionJob*)>& build, bool* did_work) {
   *did_work = false;
   CompactionJob job;
-  int out_level = -1;
   {
     MutexLock lock(mu_);
-    // Manual jobs are rare (tests, ops, vlog GC): the simple and correct
+    // Manual jobs are rare (tests, ops): the simple and correct
     // serialization is to wait out every running compaction, then build
     // the job against the then-current version with the lock held so no
     // background pick can consume the same inputs. Explicit loop: the
@@ -820,9 +670,8 @@ Status DiskComponent::RunManualCompaction(
     if (!build(*v, &job)) {
       return Status::OK();
     }
-    out_level = job.output_level >= 0 ? job.output_level : job.level + 1;
     level_busy_[job.level] = true;
-    level_busy_[out_level] = true;
+    level_busy_[job.level + 1] = true;
     ++active_compactions_;
   }
   Status s = DoCompaction(job);
@@ -830,7 +679,7 @@ Status DiskComponent::RunManualCompaction(
     MutexLock lock(mu_);
     --active_compactions_;
     level_busy_[job.level] = false;
-    level_busy_[out_level] = false;
+    level_busy_[job.level + 1] = false;
   }
   idle_cv_.SignalAll();
   work_cv_.SignalAll();
@@ -892,180 +741,6 @@ Status DiskComponent::CompactRange(const Slice& begin, const Slice& end) {
   return Status::OK();
 }
 
-Status DiskComponent::AppendToValueLog(const Slice& key, const Slice& value,
-                                       std::string* pointer_value, uint64_t* pinned_file) {
-  if (value_log_ == nullptr) {
-    return Status::NotSupported("value separation disabled");
-  }
-  ValuePointer ptr;
-  Status s = value_log_->Append(key, value, &ptr, /*pin=*/true);
-  if (!s.ok()) {
-    return s;
-  }
-  pointer_value->clear();
-  EncodeValuePointer(pointer_value, ptr);
-  *pinned_file = ptr.file_number;
-  return Status::OK();
-}
-
-void DiskComponent::UnpinVlogFile(uint64_t file_number) {
-  if (value_log_ != nullptr) {
-    value_log_->Unpin(file_number);
-  }
-}
-
-Status DiskComponent::SyncValueLog() {
-  return value_log_ != nullptr ? value_log_->Sync() : Status::OK();
-}
-
-Status DiskComponent::ResolveValuePointer(const Slice& pointer_value, std::string* value) const {
-  if (value_log_ == nullptr) {
-    return Status::Corruption("value pointer entry but no value log");
-  }
-  ValuePointer ptr;
-  if (!DecodeValuePointer(pointer_value, &ptr)) {
-    return Status::Corruption("malformed value pointer");
-  }
-  return value_log_->Read(ptr, value);
-}
-
-void DiskComponent::ReportVlogGarbage(const Slice& pointer_value) {
-  if (value_log_ == nullptr) {
-    return;
-  }
-  ValuePointer ptr;
-  if (!DecodeValuePointer(pointer_value, &ptr)) {
-    return;
-  }
-  MutexLock lock(reported_garbage_mu_);
-  reported_garbage_[ptr.file_number] += ptr.length;
-}
-
-bool DiskComponent::PickVlogGcVictims(std::vector<uint64_t>* victims,
-                                      const std::set<uint64_t>* skip) const {
-  victims->clear();
-  if (value_log_ == nullptr) {
-    return false;
-  }
-  const uint64_t active = value_log_->ActiveFileNumber();
-  std::shared_ptr<const Version> v = versions_->Current();
-  for (const auto& [number, garbage] : v->VlogFiles()) {
-    if (number == active || (skip != nullptr && skip->count(number) != 0)) {
-      continue;  // the active file is still growing; never a victim
-    }
-    uint64_t staged = 0;
-    {
-      MutexLock lock(reported_garbage_mu_);
-      auto it = reported_garbage_.find(number);
-      staged = it != reported_garbage_.end() ? it->second : 0;
-    }
-    if (garbage + staged == 0) {
-      continue;
-    }
-    uint64_t size = 0;
-    if (!options_.env->GetFileSize(VlogFileName(options_.path, number), &size).ok() ||
-        size == 0) {
-      continue;
-    }
-    if (static_cast<double>(garbage + staged) >=
-        options_.vlog_gc_garbage_ratio * static_cast<double>(size)) {
-      victims->push_back(number);
-    }
-  }
-  return !victims->empty();
-}
-
-void DiskComponent::WaitVlogUnpinned(uint64_t victim) {
-  if (value_log_ != nullptr) {
-    value_log_->WaitUnpinned(victim);
-  }
-}
-
-Status DiskComponent::CompactVlogFiles(const std::vector<uint64_t>& victims,
-                                       uint64_t* rewrites) {
-  if (value_log_ == nullptr) {
-    return Status::NotSupported("value separation disabled");
-  }
-  if (victims.empty()) {
-    return Status::OK();
-  }
-  const uint64_t before = vlog_gc_rewrites_.load(std::memory_order_relaxed);
-  // Rewrite every table still referencing any victim, level by level,
-  // until the current version holds no reference. In-place jobs: only the
-  // pointers move, the level shape stays. Batching all victims into one
-  // pass matters for write amplification: a table's values are scattered
-  // across many vlog files, so per-victim passes would rewrite the same
-  // table once per victim instead of once total.
-  const auto references_victim = [&victims](const FileMetaData& f) {
-    for (uint64_t victim : victims) {
-      if (std::binary_search(f.vlog_refs.begin(), f.vlog_refs.end(), victim)) {
-        return true;
-      }
-    }
-    return false;
-  };
-  while (true) {
-    bool did_work = false;
-    Status s = RunManualCompaction(
-        [&](const Version& v, CompactionJob* job) {
-          for (int level = 0; level < v.NumLevels(); ++level) {
-            std::vector<FileMetaData> inputs;
-            for (const FileMetaData& f : v.LevelFiles(level)) {
-              if (references_victim(f)) {
-                inputs.push_back(f);
-              }
-            }
-            if (inputs.empty()) {
-              continue;
-            }
-            if (level == 0) {
-              // An in-place merge of an L0 *subset* could surface a stale
-              // version: the merged output spans its inputs' seq ranges,
-              // breaking the newest-first search order against files left
-              // out. Take the whole level instead — L0 is small by
-              // construction (stall trigger).
-              inputs = v.LevelFiles(0);
-            }
-            job->level = level;
-            job->output_level = level;
-            job->inputs_lo = std::move(inputs);
-            job->rewrite_vlogs = victims;
-            return true;
-          }
-          return false;
-        },
-        &did_work);
-    if (!s.ok()) {
-      return s;
-    }
-    if (!did_work) {
-      break;
-    }
-  }
-  // No current table references the victims; deregister them in one edit.
-  // The unlink happens in RemoveObsoleteFiles once every pinned older
-  // version (a long scan, say) is released — the GC barrier discipline.
-  VersionEdit edit;
-  edit.deleted_vlogs = victims;
-  Status s = versions_->LogAndApply(edit);
-  if (!s.ok()) {
-    return s;
-  }
-  {
-    // The files are gone from the version; staged garbage for them is moot
-    // (and must not fold into a later edit naming a dead file).
-    MutexLock lock(reported_garbage_mu_);
-    for (uint64_t victim : victims) {
-      reported_garbage_.erase(victim);
-    }
-  }
-  if (rewrites != nullptr) {
-    *rewrites = vlog_gc_rewrites_.load(std::memory_order_relaxed) - before;
-  }
-  RemoveObsoleteFiles();
-  return Status::OK();
-}
-
 DiskComponent::Stats DiskComponent::GetStats() const {
   Stats stats;
   std::shared_ptr<const Version> v = versions_->Current();
@@ -1078,27 +753,6 @@ DiskComponent::Stats DiskComponent::GetStats() const {
   stats.bytes_compacted_out = bytes_compacted_out_.load(std::memory_order_relaxed);
   stats.compactions = compactions_.load(std::memory_order_relaxed);
   stats.flushes = flushes_.load(std::memory_order_relaxed);
-  for (const auto& [number, garbage] : v->VlogFiles()) {
-    ++stats.vlog_files;
-    stats.vlog_garbage_bytes += garbage;
-    {
-      MutexLock lock(reported_garbage_mu_);
-      auto it = reported_garbage_.find(number);
-      if (it != reported_garbage_.end()) {
-        stats.vlog_garbage_bytes += it->second;
-      }
-    }
-    uint64_t size = 0;
-    if (options_.env->GetFileSize(VlogFileName(options_.path, number), &size).ok()) {
-      stats.vlog_bytes += size;
-    }
-  }
-  if (value_log_ != nullptr) {
-    stats.vlog_bytes_written = value_log_->BytesAppended();
-    stats.vlog_writes = value_log_->RecordsAppended();
-    stats.vlog_reads = value_log_->RecordsRead();
-  }
-  stats.vlog_gc_rewrites = vlog_gc_rewrites_.load(std::memory_order_relaxed);
   if (block_cache_ != nullptr) {
     const ShardedLruCache::Stats cache = block_cache_->GetStats();
     stats.block_cache_hits = cache.hits;

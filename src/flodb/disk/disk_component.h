@@ -13,7 +13,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -28,7 +27,6 @@
 #include "flodb/disk/env.h"
 #include "flodb/disk/iterator.h"
 #include "flodb/disk/table_reader.h"
-#include "flodb/disk/value_log.h"
 #include "flodb/disk/version.h"
 
 namespace flodb {
@@ -57,20 +55,6 @@ struct DiskOptions {
 
   int compaction_threads = 1;      // 0 disables background compaction
 
-  // Value separation (WiscKey-style): values >= this many bytes are
-  // appended to *.vlog files and the LSM stores a ValuePointer, so
-  // compaction moves pointers instead of payloads. 0 (default) disables
-  // separation entirely — the on-disk format is then byte-identical to a
-  // build without the feature. Negative values are rejected at Open.
-  int64_t value_separation_threshold = 0;
-
-  // A sealed vlog file becomes a GC victim once its dead bytes exceed
-  // this fraction of its size. Must be in (0, 1]; checked at Open.
-  double vlog_gc_garbage_ratio = 0.5;
-
-  // Active vlog file rotates (seals) at this size.
-  uint64_t vlog_file_target_bytes = 64ull << 20;
-
   // Optional shared bound on concurrently RUNNING compactions across
   // DiskComponent instances. ShardedKVStore installs one sized to the
   // pre-split compaction_threads total, so 8 shards with a budget of 2
@@ -81,6 +65,9 @@ struct DiskOptions {
 
 class DiskComponent {
  public:
+  // Fails with NotSupported on a directory an older build wrote with
+  // value separation on (it holds *.vlog files, or its MANIFEST carries a
+  // value-log section): those values are not stored inline.
   static Status Open(const DiskOptions& options, std::unique_ptr<DiskComponent>* out);
   ~DiskComponent();
 
@@ -115,61 +102,6 @@ class DiskComponent {
   // shadowed versions in the range are dropped where safe.
   Status CompactRange(const Slice& begin, const Slice& end);
 
-  // --- Value separation surface (no-ops / NotSupported unless
-  // value_separation_threshold > 0). ---
-
-  bool SeparationEnabled() const { return value_log_ != nullptr; }
-
-  // Appends `value` to the active vlog and fills *pointer_value with the
-  // encoded ValuePointer (the bytes a kValuePointer entry stores). Pins
-  // the target file (*pinned_file) until UnpinVlogFile: the write path
-  // holds the pin from append to memory-apply so GC never retires a file
-  // whose only reference is still in flight.
-  Status AppendToValueLog(const Slice& key, const Slice& value, std::string* pointer_value,
-                          uint64_t* pinned_file);
-  void UnpinVlogFile(uint64_t file_number);
-
-  // Fsyncs unsynced vlog appends. The WAL group-commit leader calls this
-  // before syncing the WAL, so no durable WAL record can reference vlog
-  // bytes that did not reach disk.
-  Status SyncValueLog();
-
-  // Resolves an encoded ValuePointer back to the user value.
-  Status ResolveValuePointer(const Slice& pointer_value, std::string* value) const;
-
-  // Records that the vlog record behind `pointer_value` died in the
-  // memory component (a hot key's pointer was replaced in place in the
-  // Membuffer or Memtable), so its entry will never reach a flush or
-  // compaction dedup. Staged in memory and folded into the next flush's
-  // VersionEdit — the flush is the generation boundary after which the
-  // WAL records that could replay (and re-derive) these deaths are
-  // deleted, so persisting the counts earlier would double-count across
-  // a crash. No-op when separation is disabled or the pointer is
-  // malformed.
-  void ReportVlogGarbage(const Slice& pointer_value);
-
-  // Fills *victims with every sealed vlog file whose garbage fraction
-  // reached vlog_gc_garbage_ratio; true if any. Staged (not yet flushed)
-  // garbage from ReportVlogGarbage counts toward the trigger. Files in
-  // `skip` (GC quarantine, may be null) are never picked. All eligible
-  // victims are returned at once because a table typically references
-  // many vlog files: collecting them in one CompactVlogFiles pass
-  // rewrites each referencing table once instead of once per victim.
-  bool PickVlogGcVictims(std::vector<uint64_t>* victims,
-                         const std::set<uint64_t>* skip = nullptr) const;
-
-  // Blocks until no write-path pin on `victim` remains. The GC driver
-  // calls this for each victim, then flushes the memory component, then
-  // CompactVlogFiles — after which nothing in memory or on disk
-  // references the victims.
-  void WaitVlogUnpinned(uint64_t victim);
-
-  // Rewrites every live pointer into any of `victims` (in-place
-  // compactions that re-append the values to the active vlog),
-  // deregisters the victims and unlinks them once no pinned version
-  // references them. *rewrites counts records moved.
-  Status CompactVlogFiles(const std::vector<uint64_t>& victims, uint64_t* rewrites);
-
   uint64_t MaxPersistedSeq() const { return versions_->MaxPersistedSeq(); }
 
   // The pinned current version — level shape for tests and diagnostics.
@@ -183,15 +115,6 @@ class DiskComponent {
     uint64_t bytes_compacted_out = 0;
     uint64_t compactions = 0;
     uint64_t flushes = 0;
-
-    // Value separation (all zero when disabled).
-    uint64_t vlog_files = 0;          // live vlog files
-    uint64_t vlog_bytes = 0;          // bytes in live vlog files
-    uint64_t vlog_bytes_written = 0;  // total bytes ever appended (write amp)
-    uint64_t vlog_writes = 0;         // records appended (incl. GC rewrites)
-    uint64_t vlog_reads = 0;          // pointer resolutions served
-    uint64_t vlog_garbage_bytes = 0;  // known-dead bytes across live files
-    uint64_t vlog_gc_rewrites = 0;    // records moved by vlog GC
 
     // Read-path caches (zero when the block cache is disabled).
     uint64_t block_cache_hits = 0;
@@ -240,7 +163,6 @@ class DiskComponent {
 
   const DiskOptions options_;
   std::unique_ptr<VersionSet> versions_;
-  std::unique_ptr<ValueLog> value_log_;  // null unless separation enabled
 
   // Declaration order is a destruction-order contract: evicting the last
   // table handles (in ~table_cache_) runs TableReader destructors, which
@@ -255,14 +177,6 @@ class DiskComponent {
   // LogAndApply (the classic pending-outputs race).
   Mutex pending_mu_;
   std::set<uint64_t> pending_outputs_ GUARDED_BY(pending_mu_);
-
-  // Vlog garbage observed in the memory component (ReportVlogGarbage),
-  // staged until the next successful flush folds it into that flush's
-  // VersionEdit. The GC picker and stats read it live so idle periods
-  // still see the garbage.
-  mutable Mutex reported_garbage_mu_;
-  // vlog number -> bytes
-  std::map<uint64_t, uint64_t> reported_garbage_ GUARDED_BY(reported_garbage_mu_);
 
   struct PendingOutput;
 
@@ -281,7 +195,6 @@ class DiskComponent {
   std::atomic<uint64_t> bytes_compacted_out_{0};
   std::atomic<uint64_t> compactions_{0};
   std::atomic<uint64_t> flushes_{0};
-  std::atomic<uint64_t> vlog_gc_rewrites_{0};
 };
 
 }  // namespace flodb

@@ -29,7 +29,12 @@ const char* ParseTableEntry(const char* p, const char* limit, Slice* key, uint64
   if (p == nullptr || p >= limit) {
     return nullptr;
   }
-  *type = static_cast<ValueType>(*p);
+  const auto raw_type = static_cast<uint8_t>(*p);
+  if (raw_type != static_cast<uint8_t>(ValueType::kValue) &&
+      raw_type != static_cast<uint8_t>(ValueType::kTombstone)) {
+    return nullptr;  // unknown value type
+  }
+  *type = static_cast<ValueType>(raw_type);
   p++;
   uint32_t vlen;
   p = GetVarint32Ptr(p, limit, &vlen);

@@ -122,7 +122,8 @@ class TableReader {
 };
 
 // Parses one entry at `p` (bounded by limit). Returns the position past
-// the entry or nullptr on corruption. Exposed for reuse by the iterator
+// the entry or nullptr on corruption, including a type byte other than
+// kValue or kTombstone. Exposed for reuse by the iterator
 // and tests.
 const char* ParseTableEntry(const char* p, const char* limit, Slice* key, uint64_t* seq,
                             ValueType* type, Slice* value);

@@ -126,18 +126,12 @@ Status VersionSet::Recover() {
 //     fixed64 number | fixed64 size | fixed64 entries
 //     | fixed64 smallest_seq | fixed64 largest_seq
 //     | lp smallest | lp largest
-//   optional vlog extension (only when vlog state exists, so a store that
-//   never separates values writes the byte-identical legacy format):
-//     fixed32 vlog_count | vlog_count x (fixed64 number | fixed64 garbage)
-//     fixed32 ref_count  | ref_count x (fixed64 sst_number | fixed32 n
-//                                       | n x fixed64 vlog_number)
 //   fixed32 masked crc of everything above
 Status VersionSet::WriteSnapshot(const Version& v) {
   mu_.AssertHeld();
   std::string data;
   PutFixed64(&data, next_file_number_.load(std::memory_order_relaxed));
   PutFixed32(&data, static_cast<uint32_t>(num_levels_));
-  bool has_vlog_refs = false;
   for (int level = 0; level < num_levels_; ++level) {
     const auto& files = v.LevelFiles(level);
     PutFixed32(&data, static_cast<uint32_t>(files.size()));
@@ -149,33 +143,6 @@ Status VersionSet::WriteSnapshot(const Version& v) {
       PutFixed64(&data, f.largest_seq);
       PutLengthPrefixedSlice(&data, Slice(f.smallest));
       PutLengthPrefixedSlice(&data, Slice(f.largest));
-      has_vlog_refs = has_vlog_refs || !f.vlog_refs.empty();
-    }
-  }
-  if (!v.vlogs_.empty() || has_vlog_refs) {
-    PutFixed32(&data, static_cast<uint32_t>(v.vlogs_.size()));
-    for (const auto& [number, garbage] : v.vlogs_) {
-      PutFixed64(&data, number);
-      PutFixed64(&data, garbage);
-    }
-    uint32_t ref_count = 0;
-    for (int level = 0; level < num_levels_; ++level) {
-      for (const FileMetaData& f : v.LevelFiles(level)) {
-        ref_count += f.vlog_refs.empty() ? 0 : 1;
-      }
-    }
-    PutFixed32(&data, ref_count);
-    for (int level = 0; level < num_levels_; ++level) {
-      for (const FileMetaData& f : v.LevelFiles(level)) {
-        if (f.vlog_refs.empty()) {
-          continue;
-        }
-        PutFixed64(&data, f.number);
-        PutFixed32(&data, static_cast<uint32_t>(f.vlog_refs.size()));
-        for (uint64_t ref : f.vlog_refs) {
-          PutFixed64(&data, ref);
-        }
-      }
     }
   }
   PutFixed32(&data, crc32c::Mask(crc32c::Value(data.data(), data.size())));
@@ -274,60 +241,14 @@ Status VersionSet::LoadSnapshot(const std::string& manifest_file, std::shared_pt
                 return Slice(a.smallest).compare(Slice(b.smallest)) < 0;
               });
   }
-  // Optional vlog extension (§ docs/STORAGE.md): present iff bytes remain
-  // before the CRC. Legacy manifests (and stores that never separate
-  // values) end exactly at the levels section.
+  // A snapshot ends at the levels section. Older builds could append a
+  // value-log section here (value separation); its values live in files
+  // this build cannot read, so refuse the directory rather than open it
+  // with those values silently missing.
   if (!in.empty()) {
-    if (in.size() < 4) {
-      return Status::Corruption("manifest vlog section truncated");
-    }
-    const uint32_t vlog_count = DecodeFixed32(in.data());
-    in.remove_prefix(4);
-    for (uint32_t i = 0; i < vlog_count; ++i) {
-      if (in.size() < 16) {
-        return Status::Corruption("manifest vlog section truncated");
-      }
-      const uint64_t number = DecodeFixed64(in.data());
-      const uint64_t garbage = DecodeFixed64(in.data() + 8);
-      in.remove_prefix(16);
-      v->vlogs_[number] = garbage;
-    }
-    if (in.size() < 4) {
-      return Status::Corruption("manifest vlog ref section truncated");
-    }
-    const uint32_t ref_count = DecodeFixed32(in.data());
-    in.remove_prefix(4);
-    std::map<uint64_t, FileMetaData*> by_number;
-    for (auto& level_files : v->levels_) {
-      for (FileMetaData& f : level_files) {
-        by_number[f.number] = &f;
-      }
-    }
-    for (uint32_t i = 0; i < ref_count; ++i) {
-      if (in.size() < 12) {
-        return Status::Corruption("manifest vlog ref section truncated");
-      }
-      const uint64_t sst = DecodeFixed64(in.data());
-      const uint32_t n = DecodeFixed32(in.data() + 8);
-      in.remove_prefix(12);
-      if (in.size() < static_cast<size_t>(n) * 8) {
-        return Status::Corruption("manifest vlog ref section truncated");
-      }
-      auto it = by_number.find(sst);
-      for (uint32_t j = 0; j < n; ++j) {
-        const uint64_t ref = DecodeFixed64(in.data());
-        in.remove_prefix(8);
-        if (it != by_number.end()) {
-          it->second->vlog_refs.push_back(ref);
-        }
-      }
-      if (it == by_number.end()) {
-        return Status::Corruption("manifest vlog ref names unknown table");
-      }
-    }
-    if (!in.empty()) {
-      return Status::Corruption("manifest trailing bytes after vlog section");
-    }
+    return Status::NotSupported(
+        "manifest has bytes after the levels section: directories written with value "
+        "separation are not supported");
   }
   *out = std::move(v);
   return Status::OK();
@@ -337,19 +258,6 @@ Status VersionSet::LogAndApply(const VersionEdit& edit) {
   MutexLock lock(mu_);
   auto next = std::make_shared<Version>(num_levels_);
   next->levels_ = current_->levels_;
-  next->vlogs_ = current_->vlogs_;
-  for (uint64_t number : edit.added_vlogs) {
-    next->vlogs_.emplace(number, 0);
-  }
-  for (uint64_t number : edit.deleted_vlogs) {
-    next->vlogs_.erase(number);
-  }
-  for (const auto& [number, bytes] : edit.vlog_garbage) {
-    auto it = next->vlogs_.find(number);
-    if (it != next->vlogs_.end()) {
-      it->second += bytes;
-    }
-  }
   for (const auto& [level, number] : edit.deleted) {
     auto& files = next->levels_[level];
     files.erase(std::remove_if(files.begin(), files.end(),
@@ -423,21 +331,6 @@ std::set<uint64_t> VersionSet::AllLiveFileNumbers() const {
       for (const FileMetaData& f : v->LevelFiles(level)) {
         live.insert(f.number);
       }
-    }
-  }
-  return live;
-}
-
-std::set<uint64_t> VersionSet::AllLiveVlogNumbers() const {
-  MutexLock lock(mu_);
-  std::set<uint64_t> live;
-  for (const std::weak_ptr<const Version>& w : registry_) {
-    std::shared_ptr<const Version> v = w.lock();
-    if (v == nullptr) {
-      continue;
-    }
-    for (const auto& [number, garbage] : v->vlogs_) {
-      live.insert(number);
     }
   }
   return live;

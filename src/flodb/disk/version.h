@@ -15,7 +15,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -36,11 +35,6 @@ struct FileMetaData {
   std::string largest;   // largest user key
   uint64_t smallest_seq = 0;
   uint64_t largest_seq = 0;
-
-  // Vlog file numbers referenced by kValuePointer entries in this table
-  // (sorted, unique). Pins those vlogs: a vlog file may only be deleted
-  // once no live version holds a table referencing it.
-  std::vector<uint64_t> vlog_refs;
 
   bool OverlapsRange(const Slice& begin, const Slice& end) const {
     // Empty bounds = unbounded.
@@ -76,28 +70,14 @@ class Version {
   // tombstones compacted into `level` can then be dropped.
   bool IsBottommostForRange(int level, const Slice& begin, const Slice& end) const;
 
-  // Live vlog files: number -> bytes known dead (records whose pointer
-  // entry was dropped by flush/compaction dedup). The GC picker divides
-  // garbage by file size to choose victims.
-  const std::map<uint64_t, uint64_t>& VlogFiles() const { return vlogs_; }
-
  private:
   friend class VersionSet;
   std::vector<std::vector<FileMetaData>> levels_;
-  std::map<uint64_t, uint64_t> vlogs_;  // vlog number -> garbage bytes
 };
 
 struct VersionEdit {
   std::vector<std::pair<int, FileMetaData>> added;
   std::vector<std::pair<int, uint64_t>> deleted;  // (level, file number)
-
-  // Vlog file lifecycle: registration (at creation, before any append is
-  // served), deletion (after GC rewrote every live reference), and
-  // garbage accounting deltas (bytes of records whose pointer entries
-  // were dropped).
-  std::vector<uint64_t> added_vlogs;
-  std::vector<uint64_t> deleted_vlogs;
-  std::vector<std::pair<uint64_t, uint64_t>> vlog_garbage;  // (vlog number, +bytes)
 };
 
 class VersionSet {
@@ -143,11 +123,6 @@ class VersionSet {
   // (union over the live-version registry). Garbage collection must use
   // this set: a scan holding an old Version may still open its files.
   std::set<uint64_t> AllLiveFileNumbers() const;
-
-  // Same union for vlog files. Every version that registered a vlog keeps
-  // it in its vlogs map, so a pinned version resolving pointers into a
-  // GC'd vlog keeps the file on disk until the version is released.
-  std::set<uint64_t> AllLiveVlogNumbers() const;
 
   std::string TableFileName(uint64_t number) const;
   std::string DbPath() const { return dbname_; }

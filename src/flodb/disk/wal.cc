@@ -134,12 +134,10 @@ Status GroupCommitLog::Commit(const WalRecord& record, bool sync, int* token_slo
       }
       if (appended > 0 && group_has_sync) {
         if (before_sync_) {
-          sync_error = before_sync_();
+          before_sync_();
         }
-        if (sync_error.ok()) {
-          syncs_.fetch_add(1, std::memory_order_relaxed);
-          sync_error = writer->Sync();
-        }
+        syncs_.fetch_add(1, std::memory_order_relaxed);
+        sync_error = writer->Sync();
       }
       mu_.lock();
       leader_busy_ = false;
@@ -235,9 +233,6 @@ void GroupCommitLog::Close() {
   }
   if (writer == nullptr) {
     return;
-  }
-  if (before_sync_) {
-    before_sync_();
   }
   writer->Sync();
   writer->Close();

@@ -135,10 +135,9 @@ class GroupCommitLog {
   // Names the file of log `number`.
   using FileNamer = std::function<std::string(uint64_t number)>;
 
-  // `before_sync` (optional) runs ahead of every fsync, with the lock
-  // dropped; a failure counts as the group's sync failure and skips the
-  // fsync. FloDB syncs its value log there (docs/STORAGE.md §10).
-  GroupCommitLog(Env* env, FileNamer file_name, std::function<Status()> before_sync = nullptr)
+  // `before_sync` (optional) is a test seam: it runs ahead of every group
+  // fsync, with the lock dropped, so a test can park a group leader there.
+  GroupCommitLog(Env* env, FileNamer file_name, std::function<void()> before_sync = nullptr)
       : env_(env), file_name_(std::move(file_name)), before_sync_(std::move(before_sync)) {}
 
   GroupCommitLog(const GroupCommitLog&) = delete;
@@ -171,7 +170,7 @@ class GroupCommitLog {
 
   bool broken() const { return broken_.load(std::memory_order_acquire); }
 
-  // Shutdown: runs before_sync, then syncs and closes the live file.
+  // Shutdown: syncs and closes the live file.
   void Close() EXCLUDES(mu_);
 
   // Writers waiting in the queue, the leader included (tests).
@@ -193,7 +192,7 @@ class GroupCommitLog {
 
   Env* const env_;
   const FileNamer file_name_;
-  const std::function<Status()> before_sync_;
+  const std::function<void()> before_sync_;
 
   Mutex mu_;
   CondVar cv_;

@@ -10,33 +10,17 @@
 #define FLODB_MEM_ENTRY_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "flodb/common/slice.h"
 
 namespace flodb {
 
-// Invoked with the encoded ValuePointer of a kValuePointer entry the
-// moment its last in-memory holder is superseded (an in-place update or
-// a lost max-seq race). FloDB wires this to the disk component's vlog
-// garbage accounting so hot-key overwrites that die in memory — and
-// therefore never reach a flush or compaction dedup — still make the
-// dead vlog record's bytes visible to the GC victim picker.
-using DeadPointerFn = std::function<void(const Slice& pointer_value)>;
-
 enum class ValueType : uint8_t {
   kValue = 0,
   kTombstone = 1,
-  // 2 and 3 are skipped: a retired single-update WAL record began with
-  // the ValueType byte, next to kWalBatchRecordTag and
-  // kWalPrepareRecordTag (see disk/wal.h). SSTables persist these values,
-  // so kValuePointer keeps 4.
-  //
-  // The entry's value is an encoded ValuePointer into a *.vlog file, not
-  // the user value (value separation, see disk/value_log.h and
-  // docs/STORAGE.md). Resolved back to the user value at read time.
-  kValuePointer = 4,
+  // SSTables and WAL batch records persist this byte. Readers reject any
+  // other value as corruption.
 };
 
 // An entry buffered for a drain batch: owned copies of the key/value made

@@ -84,18 +84,6 @@ MemBuffer::AddResult MemBuffer::Add(const Slice& key, const Slice& value, ValueT
       // existing record (readers also hold the bucket lock, so this is
       // race-free and allocation-free — the common case for fixed-size
       // workloads). Size changes allocate a fresh record.
-      //
-      // A replaced vlog pointer dies right here UNLESS a drained copy of
-      // exactly this value is in flight to the Memtable (marked AND
-      // unchanged since marking): then the copy carries the garbage
-      // liability and is charged when it is superseded or compacted away
-      // downstream. Charging both would double-count the record.
-      const uint8_t bit = static_cast<uint8_t>(1u << i);
-      if (slot.rec->type == ValueType::kValuePointer && options_.dead_pointer_fn &&
-          (bucket.fresh_mask & bit) == 0) {
-        options_.dead_pointer_fn(slot.rec->value());
-      }
-      bucket.fresh_mask &= static_cast<uint8_t>(~bit);
       const size_t old_footprint = EntryFootprint(key, slot.rec->value());
       if (slot.rec->value_size == value.size()) {
         memcpy(slot.rec->mutable_value(), value.data(), value.size());
@@ -122,7 +110,6 @@ MemBuffer::AddResult MemBuffer::Add(const Slice& key, const Slice& value, ValueT
   slot.rec = MakeRecord(key, value, type);
   slot.version++;
   bucket.marked_mask &= static_cast<uint8_t>(~(1u << free_slot));
-  bucket.fresh_mask &= static_cast<uint8_t>(~(1u << free_slot));
   live_entries_.fetch_add(1, std::memory_order_relaxed);
   live_bytes_.fetch_add(EntryFootprint(key, value), std::memory_order_relaxed);
   return AddResult::kAdded;
@@ -160,7 +147,6 @@ size_t MemBuffer::CollectAndMark(uint64_t partition, size_t max_entries,
         continue;
       }
       bucket.marked_mask |= bit;
-      bucket.fresh_mask |= bit;  // copy below matches the slot exactly
       DrainedEntry e;
       e.key = slot.rec->key().ToString();
       e.value = slot.rec->value().ToString();
@@ -182,7 +168,6 @@ void MemBuffer::FinishDrain(const std::vector<DrainedEntry>& entries) {
     Slot& slot = bucket.slots[e.slot];
     const uint8_t bit = static_cast<uint8_t>(1u << e.slot);
     bucket.marked_mask &= static_cast<uint8_t>(~bit);
-    bucket.fresh_mask &= static_cast<uint8_t>(~bit);
     if (slot.rec != nullptr && slot.version == e.version) {
       live_bytes_.fetch_sub(EntryFootprint(slot.rec->key(), slot.rec->value()),
                             std::memory_order_relaxed);

@@ -50,13 +50,6 @@ class MemBuffer {
     int partition_bits = 4;
     // Expected entry footprint, used only to size the bucket array.
     size_t avg_entry_bytes_hint = 64;
-    // Optional: observes a kValuePointer entry whose value is replaced
-    // in place by Add — the dead vlog record would otherwise be
-    // invisible to GC (its entry never reaches a flush or compaction
-    // dedup). Skipped when a drained copy of exactly that value is in
-    // flight to the Memtable: the copy carries the liability and is
-    // charged there when superseded (see mem/skiplist.h DeadPointerFn).
-    DeadPointerFn dead_pointer_fn;
   };
 
   enum class AddResult {
@@ -155,14 +148,6 @@ class MemBuffer {
   struct alignas(64) Bucket {
     mutable SpinLock lock;
     uint8_t marked_mask GUARDED_BY(lock) = 0;  // bit i set => slots[i] is being drained
-    // Bit i set => slots[i] is UNCHANGED since its in-flight drained
-    // copy was taken (subset of marked_mask; cleared by the first
-    // in-place update). Distinguishes "the old value is the copy in
-    // flight" (garbage liability travels with the copy) from "the old
-    // value exists nowhere else" (charge it here) — without it, a
-    // second overwrite during one drain window would leak its
-    // predecessor's vlog record.
-    uint8_t fresh_mask GUARDED_BY(lock) = 0;
     Slot slots[kSlotsPerBucket] GUARDED_BY(lock);
   };
 

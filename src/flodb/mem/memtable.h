@@ -24,13 +24,8 @@ namespace flodb {
 
 class MemTable {
  public:
-  // `dead_pointer_fn` (optional) observes kValuePointer entries whose
-  // in-memory version is superseded in place — the vlog garbage
-  // accounting hook (see mem/skiplist.h).
-  explicit MemTable(size_t target_bytes, DeadPointerFn dead_pointer_fn = {})
-      : target_bytes_(target_bytes),
-        arena_(256u << 10),
-        list_(&arena_, 0x5eed, nullptr, std::move(dead_pointer_fn)) {}
+  explicit MemTable(size_t target_bytes)
+      : target_bytes_(target_bytes), arena_(256u << 10), list_(&arena_) {}
 
   MemTable(const MemTable&) = delete;
   MemTable& operator=(const MemTable&) = delete;

@@ -39,11 +39,8 @@ struct ConcurrentSkipList::Node {
 };
 
 ConcurrentSkipList::ConcurrentSkipList(ConcurrentArena* arena, uint64_t level_seed,
-                                       KeyComparator cmp, DeadPointerFn dead_pointer_fn)
-    : arena_(arena),
-      cmp_(cmp),
-      dead_pointer_fn_(std::move(dead_pointer_fn)),
-      level_seed_(level_seed) {
+                                       KeyComparator cmp)
+    : arena_(arena), cmp_(cmp), level_seed_(level_seed) {
   head_ = MakeNode(Slice(), nullptr, kMaxLevel - 1);
   for (int i = 0; i < kMaxLevel; ++i) {
     head_->next(i).store(nullptr, std::memory_order_relaxed);
@@ -118,23 +115,11 @@ void ConcurrentSkipList::UpdateCellMaxSeq(Node* node, ValueCell* cell) {
   while (cur == nullptr || cell->seq > cur->seq) {
     if (node->cell.compare_exchange_weak(cur, cell, std::memory_order_acq_rel,
                                          std::memory_order_acquire)) {
-      // The displaced cell will never reach a flush iterator; if it was
-      // a vlog pointer, this supersede IS its record's death — report it
-      // so the garbage is not invisible to GC (cells are arena-backed
-      // and stay readable here).
-      if (cur != nullptr && cur->type == ValueType::kValuePointer && dead_pointer_fn_) {
-        dead_pointer_fn_(cur->value());
-      }
       return;
     }
     // cur reloaded by the failed CAS; loop re-checks the seq rule.
   }
-  // The new cell lost the max-seq race and is dropped on the floor; a
-  // stale drained copy of a pointer dies here carrying its record's
-  // garbage liability (the fresher in-buffer version skipped the charge).
-  if (cell->type == ValueType::kValuePointer && dead_pointer_fn_) {
-    dead_pointer_fn_(cell->value());
-  }
+  // The new cell lost the max-seq race and is dropped on the floor.
 }
 
 bool ConcurrentSkipList::InsertWithPreds(const Slice& key, const Slice& value, uint64_t seq,

@@ -21,7 +21,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <utility>
 
@@ -65,11 +64,8 @@ class ConcurrentSkipList {
 
   struct Node;
 
-  // `dead_pointer_fn` (optional) observes kValuePointer cells displaced
-  // by the max-seq update rule; see DeadPointerFn above. Baselines and
-  // internal-key users leave it unset.
   explicit ConcurrentSkipList(ConcurrentArena* arena, uint64_t level_seed = 0x5eed,
-                              KeyComparator cmp = nullptr, DeadPointerFn dead_pointer_fn = {});
+                              KeyComparator cmp = nullptr);
 
   ConcurrentSkipList(const ConcurrentSkipList&) = delete;
   ConcurrentSkipList& operator=(const ConcurrentSkipList&) = delete;
@@ -146,13 +142,10 @@ class ConcurrentSkipList {
                        Node** preds, Node** succs);
 
   // CAS loop: install cell if its seq is higher than the current one.
-  // Reports the losing kValuePointer cell (displaced or rejected) to
-  // dead_pointer_fn_.
   void UpdateCellMaxSeq(Node* node, ValueCell* cell);
 
   ConcurrentArena* const arena_;
   const KeyComparator cmp_;
-  const DeadPointerFn dead_pointer_fn_;
   Node* head_;
   std::atomic<size_t> count_{0};
   std::atomic<size_t> bytes_{0};

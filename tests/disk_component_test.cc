@@ -319,5 +319,17 @@ TEST_F(DiskComponentTest, InvalidOptionsRejected) {
   EXPECT_TRUE(DiskComponent::Open(options, &disk).IsInvalidArgument());
 }
 
+// Older builds could move large values into *.vlog files (value
+// separation). Even an empty one marks a directory this build cannot
+// read in full, so Open refuses it before touching anything.
+TEST_F(DiskComponentTest, ValueLogFileRefused) {
+  ASSERT_TRUE(WriteStringToFile(&env_, Slice(), "/db/000007.vlog", true).ok());
+  std::unique_ptr<DiskComponent> disk;
+  const Status s = DiskComponent::Open(SmallDisk(), &disk);
+  EXPECT_TRUE(s.IsNotSupported()) << s.ToString();
+  EXPECT_NE(s.ToString().find("value separation"), std::string::npos) << s.ToString();
+  EXPECT_FALSE(env_.FileExists("/db/CURRENT")) << "a refused directory stays as it was";
+}
+
 }  // namespace
 }  // namespace flodb

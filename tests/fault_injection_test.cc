@@ -585,40 +585,5 @@ TEST(CrossShardTxnLogFaultTest, MarkerFailureAbortsAndOrphansEveryPrepare) {
   EXPECT_EQ(store->GetStats().txn_commits, 1u);
 }
 
-// Without a WAL a straddling batch has no prepares or marker: each slice
-// is a plain shard Write under the fence. A slice that fails (here its
-// large value cannot reach the value log) must fail the whole Write, the
-// way it fails a one-shard Write, and must not count as a commit.
-TEST(CrossShardFaultTest, WalOffFailedSliceFailsTheWrite) {
-  MemEnv base;
-  FaultInjectionEnv fault(&base);
-  FloDbOptions options;
-  options.memory_budget_bytes = 2u << 20;
-  options.shards = 2;
-  options.disk.env = &fault;
-  options.disk.path = "/db";
-  options.disk.value_separation_threshold = 64;
-  ASSERT_FALSE(options.enable_wal);
-  std::unique_ptr<ShardedKVStore> store;
-  ASSERT_TRUE(ShardedKVStore::Open(options, &store).ok());
-  // With 2 shards the router takes the top bit of the first 8 key bytes.
-  auto HK = [](int shard, uint64_t i) {
-    return EncodeKey(static_cast<uint64_t>(shard) * (uint64_t{1} << 63) + i);
-  };
-  const std::string big(200, 'x');
-  fault.FailAppendAfter(0, /*torn=*/false, ".vlog");
-
-  EXPECT_TRUE(store->Put(Slice(HK(0, 1)), Slice(big)).IsIOError());
-
-  WriteBatch batch;
-  batch.Put(Slice(HK(0, 2)), Slice(big));
-  batch.Put(Slice(HK(1, 2)), Slice("small"));
-  const Status s = store->Write(WriteOptions(), &batch);
-  EXPECT_TRUE(s.IsIOError()) << s.ToString();
-  EXPECT_EQ(store->GetStats().txn_commits, 0u);
-  std::string value;
-  EXPECT_TRUE(store->Get(Slice(HK(0, 2)), &value).IsNotFound());
-}
-
 }  // namespace
 }  // namespace flodb

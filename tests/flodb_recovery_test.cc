@@ -6,9 +6,11 @@
 #include <memory>
 
 #include "flodb/bench_util/workload.h"
+#include "flodb/common/coding.h"
 #include "flodb/common/key_codec.h"
 #include "flodb/core/flodb.h"
 #include "flodb/disk/mem_env.h"
+#include "flodb/disk/wal.h"
 
 namespace flodb {
 namespace {
@@ -308,6 +310,27 @@ TEST(FloDBRecoveryTest, RepeatedReopenCycles) {
       }
     }
   }
+}
+
+// A WAL batch entry of type 4 (the value-pointer type of older,
+// value-separating builds) fails replay with Corruption: the store never
+// opens with that write silently dropped.
+TEST(FloDBRecoveryTest, WalValuePointerEntryFailsReplay) {
+  MemEnv env;
+  std::string rep;
+  rep.push_back(static_cast<char>(4));
+  PutLengthPrefixedSlice(&rep, Slice(K(1)));
+  PutLengthPrefixedSlice(&rep, Slice("pointer"));
+  {
+    std::unique_ptr<WritableFile> file;
+    ASSERT_TRUE(env.NewWritableFile("/db/wal-000001.log", &file).ok());
+    WalWriter writer(std::move(file));
+    ASSERT_TRUE(writer.Add(WalRecord::Batch(1, Slice(rep))).ok());
+    ASSERT_TRUE(writer.Close().ok());
+  }
+  std::unique_ptr<FloDB> db;
+  const Status s = FloDB::Open(WalOptions(&env), &db);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
 }
 
 }  // namespace

@@ -8,7 +8,9 @@
 #include <atomic>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "flodb/bench_util/workload.h"
 #include "flodb/common/key_codec.h"
@@ -590,6 +592,37 @@ TEST_F(FloDBScanTest, IteratorOnEmptyRange) {
   auto it = db_->NewScanIterator(ReadOptions(), Slice(K(0)), Slice(K(100)));
   EXPECT_FALSE(it->Valid());
   EXPECT_TRUE(it->status().ok());
+}
+
+// A scan over an unreadable table fails with the table's error instead of
+// returning the readable rest as if it were the whole range.
+TEST_F(FloDBScanTest, CorruptTableFailsTheScan) {
+  Open(SmallOptions());
+  for (uint64_t i = 0; i < 100; ++i) {
+    ASSERT_TRUE(db_->Put(Slice(K(i)), Slice("v" + std::to_string(i))).ok());
+  }
+  ASSERT_TRUE(db_->FlushAll().ok());
+  db_.reset();
+
+  std::vector<std::string> children;
+  ASSERT_TRUE(env_.GetChildren("/db", &children).ok());
+  int tables = 0;
+  for (const std::string& name : children) {
+    if (name.size() > 4 && name.substr(name.size() - 4) == ".sst") {
+      const std::string path = "/db/" + name;
+      std::string data;
+      ASSERT_TRUE(ReadFileToString(&env_, path, &data).ok());
+      data[10] = static_cast<char>(data[10] ^ 0x1);  // a bit in the first data block
+      ASSERT_TRUE(WriteStringToFile(&env_, Slice(data), path, true).ok());
+      ++tables;
+    }
+  }
+  ASSERT_GT(tables, 0);
+
+  Open(SmallOptions());
+  ScanResult out;
+  const Status s = db_->Scan(Slice(), Slice(), 0, &out);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString() << " after " << out.size() << " entries";
 }
 
 }  // namespace

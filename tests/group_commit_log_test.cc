@@ -36,7 +36,7 @@ Status CommitKey(GroupCommitLog* log, const std::string& key, bool sync,
 
 class GroupCommitLogTest : public ::testing::Test {
  protected:
-  GroupCommitLogTest() : log_(&fault_, LogName, [this] { return BeforeSync(); }) {}
+  GroupCommitLogTest() : log_(&fault_, LogName, [this] { BeforeSync(); }) {}
 
   struct GroupOutcome {
     Status blocker;
@@ -51,7 +51,7 @@ class GroupCommitLogTest : public ::testing::Test {
   // before_sync, i.e. the followers' group's.
   GroupOutcome CommitOneGroup(const std::vector<bool>& sync,
                               const std::function<void()>& at_release = nullptr,
-                              std::function<Status()> at_group_sync = nullptr) {
+                              std::function<void()> at_group_sync = nullptr) {
     GroupOutcome outcome;
     outcome.followers.resize(sync.size());
     park_.store(true);
@@ -99,20 +99,20 @@ class GroupCommitLogTest : public ::testing::Test {
   GroupCommitLog log_;
 
  private:
-  Status BeforeSync() {
+  void BeforeSync() {
     if (park_.load()) {
       parked_.store(true);
       while (park_.load()) {
         std::this_thread::sleep_for(std::chrono::microseconds(50));
       }
-      return Status::OK();
+    } else if (group_sync_) {
+      group_sync_();
     }
-    return group_sync_ ? group_sync_() : Status::OK();
   }
 
   std::atomic<bool> park_{false};
   std::atomic<bool> parked_{false};
-  std::function<Status()> group_sync_;  // published to the leader by park_
+  std::function<void()> group_sync_;  // published to the leader by park_
 };
 
 TEST_F(GroupCommitLogTest, ConcurrentSyncWritersShareFsyncsAndReplayOnceInOrder) {
@@ -206,10 +206,7 @@ TEST_F(GroupCommitLogTest, AppendFailureFailsThatWriterAndLater) {
 
 TEST_F(GroupCommitLogTest, SyncFailureFailsOnlyTheSyncWriters) {
   ASSERT_TRUE(log_.Open(1).ok());
-  auto fail_group_fsync = [&] {
-    fault_.FailSyncs(true);
-    return Status::OK();
-  };
+  auto fail_group_fsync = [&] { fault_.FailSyncs(true); };
   GroupOutcome outcome = CommitOneGroup({true, false, true}, nullptr, fail_group_fsync);
   ASSERT_TRUE(outcome.blocker.ok());
   EXPECT_TRUE(outcome.followers[0].IsIOError());
@@ -219,18 +216,6 @@ TEST_F(GroupCommitLogTest, SyncFailureFailsOnlyTheSyncWriters) {
   fault_.ClearFaults();
   EXPECT_TRUE(log_.broken());
   EXPECT_TRUE(CommitKey(&log_, "latched", false).IsIOError());
-}
-
-TEST_F(GroupCommitLogTest, BeforeSyncFailureSkipsTheFsync) {
-  ASSERT_TRUE(log_.Open(1).ok());
-  auto fail_value_log_sync = [] { return Status::IOError("vlog sync"); };
-  GroupOutcome outcome = CommitOneGroup({true, false}, nullptr, fail_value_log_sync);
-  ASSERT_TRUE(outcome.blocker.ok());
-  EXPECT_TRUE(outcome.followers[0].IsIOError());
-  EXPECT_TRUE(outcome.followers[1].ok());
-  EXPECT_EQ(log_.syncs(), 1u) << "an fsync counts only when issued";
-  EXPECT_EQ(fault_.sync_count(), 1u);
-  EXPECT_TRUE(log_.broken());
 }
 
 TEST_F(GroupCommitLogTest, MixedGroupIssuesOneFsyncAndSyncFreeGroupsNone) {

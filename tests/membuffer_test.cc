@@ -229,49 +229,6 @@ TEST(MemBufferTest, ConcurrentUpdateDuringDrainSurvives) {
   EXPECT_EQ(buffer.LiveEntries(), 0u);
 }
 
-TEST(MemBufferTest, DeadPointerFnFiresExactlyOncePerReplacedPointer) {
-  // In-place replacement of a kValuePointer entry is the one moment its
-  // old vlog record can die without ever reaching a flush or compaction
-  // dedup; the dead_pointer_fn hook must observe it there exactly once.
-  std::vector<std::string> reported;
-  MemBuffer::Options options = SmallOptions();
-  options.dead_pointer_fn = [&](const Slice& v) { reported.emplace_back(v.data(), v.size()); };
-  MemBuffer buffer(options);
-
-  // Plain overwrite of a pointer entry reports the replaced pointer.
-  buffer.Add(Slice(EncodeKey(1)), Slice("ptr-0"), ValueType::kValuePointer);
-  buffer.Add(Slice(EncodeKey(1)), Slice("ptr-1"), ValueType::kValuePointer);
-  ASSERT_EQ(reported.size(), 1u);
-  EXPECT_EQ(reported[0], "ptr-0");
-
-  // Non-pointer overwrites never report.
-  buffer.Add(Slice(EncodeKey(2)), Slice("v0"), ValueType::kValue);
-  buffer.Add(Slice(EncodeKey(2)), Slice("v1"), ValueType::kValue);
-  EXPECT_EQ(reported.size(), 1u);
-
-  // Overwriting a marked slot whose drained copy is still in flight must
-  // NOT report: that copy carries the liability and is charged when the
-  // Memtable supersedes it (see skiplist.cc). A SECOND overwrite in the
-  // same drain window must report — its predecessor exists nowhere else.
-  std::vector<DrainedEntry> batch;
-  for (uint64_t p = 0; p < buffer.NumPartitions(); ++p) {
-    buffer.CollectAndMark(p, 10, &batch);
-  }
-  EXPECT_EQ(buffer.Add(Slice(EncodeKey(1)), Slice("ptr-2"), ValueType::kValuePointer),
-            MemBuffer::AddResult::kUpdated);
-  EXPECT_EQ(reported.size(), 1u) << "in-flight copy carries the ptr-1 liability";
-  EXPECT_EQ(buffer.Add(Slice(EncodeKey(1)), Slice("ptr-3"), ValueType::kValuePointer),
-            MemBuffer::AddResult::kUpdated);
-  ASSERT_EQ(reported.size(), 2u);
-  EXPECT_EQ(reported[1], "ptr-2");
-
-  // Once the drain completes the slot is unmarked; overwrites report again.
-  buffer.FinishDrain(batch);
-  buffer.Add(Slice(EncodeKey(1)), Slice("ptr-4"), ValueType::kValuePointer);
-  ASSERT_EQ(reported.size(), 3u);
-  EXPECT_EQ(reported[2], "ptr-3");
-}
-
 TEST(MemBufferTest, FullDrainProtocol) {
   MemBuffer buffer(SmallOptions());
   // Small numeric keys cluster into partition 0 (top-bits partitioning),

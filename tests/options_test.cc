@@ -214,37 +214,5 @@ TEST_F(OptionsTest, ShardedCacheSplitRespectsFloors) {
   }
 }
 
-TEST_F(OptionsTest, NegativeValueSeparationThresholdRejected) {
-  FloDbOptions options = ValidOptions();
-  options.disk.value_separation_threshold = -1;
-  EXPECT_TRUE(Open(options).IsInvalidArgument());
-}
-
-TEST_F(OptionsTest, ValueSeparationRequiresPersistence) {
-  FloDbOptions options = ValidOptions();
-  options.enable_persistence = false;
-  options.disk.env = nullptr;
-  options.disk.path.clear();
-  options.disk.value_separation_threshold = 256;
-  EXPECT_TRUE(Open(options).IsInvalidArgument());
-}
-
-TEST_F(OptionsTest, VlogGcGarbageRatioOutOfRangeRejected) {
-  for (double ratio : {0.0, -0.5, 1.5}) {
-    FloDbOptions options = ValidOptions();
-    options.disk.value_separation_threshold = 256;
-    options.disk.vlog_gc_garbage_ratio = ratio;
-    EXPECT_TRUE(Open(options).IsInvalidArgument()) << "ratio " << ratio;
-  }
-}
-
-TEST_F(OptionsTest, VlogGcGarbageRatioOneAccepted) {
-  FloDbOptions options = ValidOptions();
-  options.disk.path = "/db-vlog-ratio-one";
-  options.disk.value_separation_threshold = 256;
-  options.disk.vlog_gc_garbage_ratio = 1.0;
-  EXPECT_TRUE(Open(options).ok());
-}
-
 }  // namespace
 }  // namespace flodb

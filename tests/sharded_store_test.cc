@@ -239,78 +239,6 @@ TEST(ShardedStoreTest, CrossShardBatchSplitsPerShard) {
   EXPECT_EQ(entries, 65u);
 }
 
-// A cross-shard prepare goes through the same front half as a one-shard
-// Write: its large values move to the shard's value log, and the vlog
-// pins travel with the prepared slice until it is applied.
-TEST(ShardedStoreTest, CrossShardPreparesSeparateLargeValues) {
-  MemEnv env;
-  FloDbOptions options = BaseOptions(&env, 2);
-  options.enable_wal = true;
-  options.disk.value_separation_threshold = 64;
-  options.disk.vlog_file_target_bytes = 1 << 10;
-  options.disk.vlog_gc_garbage_ratio = 0.3;
-  std::unique_ptr<ShardedKVStore> store;
-  ASSERT_TRUE(OpenSharded(options, &store).ok());
-  // With 2 shards the router takes the top bit of the first 8 key bytes.
-  auto HK = [](int shard, uint64_t i) {
-    return EncodeKey(static_cast<uint64_t>(shard) * (uint64_t{1} << 63) + i);
-  };
-  auto Big = [](int shard, uint64_t i, int generation) {
-    return std::to_string(shard) + "-" + std::to_string(i) + "-g" + std::to_string(generation) +
-           std::string(200, 'v');
-  };
-
-  // One-shard writes land in the same vlog files as the prepared values
-  // below; overwriting them later turns those files into GC victims.
-  for (int shard = 0; shard < 2; ++shard) {
-    ASSERT_TRUE(store->Put(Slice(HK(shard, 0)), Slice(Big(shard, 0, 0))).ok());
-  }
-  ASSERT_EQ(store->GetStats().disk.vlog_writes, 2u);
-
-  WriteBatch batch;
-  batch.Put(Slice(HK(0, 1)), Slice(Big(0, 1, 0)));
-  batch.Put(Slice(HK(1, 1)), Slice(Big(1, 1, 0)));
-  ASSERT_TRUE(store->Write(WriteOptions(), &batch).ok());
-  EXPECT_EQ(store->GetStats().txn_commits, 1u);
-  EXPECT_EQ(store->GetStats().disk.vlog_writes, 4u) << "both prepared values must separate";
-
-  auto expect_values = [&](const char* when) {
-    std::string value;
-    for (int shard = 0; shard < 2; ++shard) {
-      ASSERT_TRUE(store->Get(Slice(HK(shard, 1)), &value).ok()) << when << " shard " << shard;
-      EXPECT_EQ(value, Big(shard, 1, 0)) << when << " shard " << shard;
-    }
-  };
-  expect_values("after apply");
-
-  store.reset();
-  ASSERT_TRUE(OpenSharded(options, &store).ok());
-  expect_values("after reopen");
-
-  // Overwrite the one-shard values until their vlog files roll: the
-  // files holding the prepared values cross the garbage ratio, and GC
-  // must relocate the prepared values as the files' live records.
-  for (int generation = 1; generation <= 8; ++generation) {
-    for (int shard = 0; shard < 2; ++shard) {
-      ASSERT_TRUE(store->Put(Slice(HK(shard, 0)), Slice(Big(shard, 0, generation))).ok());
-    }
-  }
-  ASSERT_TRUE(store->CompactRange(Slice(), Slice()).ok());
-  uint64_t rewrites = 0;
-  for (int shard = 0; shard < 2; ++shard) {
-    for (int round = 0; round < 50; ++round) {
-      bool performed = false;
-      ASSERT_TRUE(store->shard(shard)->CompactValueLogGarbage(&performed).ok());
-      if (!performed) {
-        break;
-      }
-    }
-    rewrites += store->ShardStats(shard).disk.vlog_gc_rewrites;
-  }
-  EXPECT_GT(rewrites, 0u) << "GC must have relocated live records";
-  expect_values("after vlog GC");
-}
-
 TEST(ShardedStoreTest, SingleShardBatchSkipsTheSplit) {
   MemEnv env;
   std::unique_ptr<ShardedKVStore> store;
@@ -641,6 +569,30 @@ TEST(ShardedStoreTest, PerLevelStatsSumOverShards) {
     on_disk += b;
   }
   EXPECT_GT(on_disk, 0u);
+}
+
+// KVStore::CompactRange on the router fans out to every shard.
+TEST(CompactRangeApiTest, ShardedFanOutCompactsEveryShard) {
+  MemEnv env;
+  FloDbOptions options = BaseOptions(&env, 4);
+  options.memory_budget_bytes = 512 << 10;
+  options.disk.sstable_target_bytes = 32 << 10;
+  std::unique_ptr<ShardedKVStore> store;
+  ASSERT_TRUE(OpenSharded(options, &store).ok());
+  auto value_of = [](uint64_t i) { return "k" + std::to_string(i) + "-" + std::string(400, 'v'); };
+  for (uint64_t i = 0; i < 256; ++i) {
+    ASSERT_TRUE(store->Put(Slice(EncodeKey(i * 1315423911u)), Slice(value_of(i))).ok());
+  }
+  ASSERT_TRUE(store->CompactRange(Slice(), Slice()).ok());
+  for (int shard = 0; shard < store->NumShards(); ++shard) {
+    // Post-compaction every shard's L0 is empty (its data sits deeper).
+    EXPECT_EQ(store->ShardStats(shard).disk.files_per_level[0], 0) << "shard " << shard;
+  }
+  for (uint64_t i = 0; i < 256; ++i) {
+    std::string value;
+    ASSERT_TRUE(store->Get(Slice(EncodeKey(i * 1315423911u)), &value).ok());
+    EXPECT_EQ(value, value_of(i));
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -61,43 +61,6 @@ TEST_F(SkipListTest, LowerSeqUpdateIsIgnored) {
   EXPECT_EQ(seq, 10u);
 }
 
-TEST(SkipListDeadPointerTest, SupersededPointerVersionsAreReported) {
-  // Whenever a kValuePointer cell loses the max-seq race — displaced by a
-  // newer version, or arriving stale — its vlog record just became
-  // unreachable from memory; the dead-pointer hook must see it so the
-  // bytes count toward vlog GC (in-memory deaths never reach a flush or
-  // compaction dedup).
-  std::vector<std::string> reported;
-  ConcurrentArena arena;
-  ConcurrentSkipList list(&arena, 0x5eed, nullptr,
-                          [&](const Slice& v) { reported.emplace_back(v.data(), v.size()); });
-
-  // Newer pointer displaces older pointer: the old one is dead.
-  list.Insert(Slice("k"), Slice("ptr-a"), 1, ValueType::kValuePointer);
-  list.Insert(Slice("k"), Slice("ptr-b"), 2, ValueType::kValuePointer);
-  ASSERT_EQ(reported.size(), 1u);
-  EXPECT_EQ(reported[0], "ptr-a");
-
-  // A stale lower-seq pointer arrival loses the race: the LOSER is dead.
-  list.Insert(Slice("k"), Slice("ptr-stale"), 1, ValueType::kValuePointer);
-  ASSERT_EQ(reported.size(), 2u);
-  EXPECT_EQ(reported[1], "ptr-stale");
-
-  // An inline value displacing a pointer kills the pointer...
-  list.Insert(Slice("k"), Slice("inline"), 3, ValueType::kValue);
-  ASSERT_EQ(reported.size(), 3u);
-  EXPECT_EQ(reported[2], "ptr-b");
-
-  // ...but a displaced inline value reports nothing.
-  list.Insert(Slice("k"), Slice("ptr-c"), 4, ValueType::kValuePointer);
-  EXPECT_EQ(reported.size(), 3u);
-
-  // Deletes kill pointers too.
-  list.Insert(Slice("k"), Slice(), 5, ValueType::kTombstone);
-  ASSERT_EQ(reported.size(), 4u);
-  EXPECT_EQ(reported[3], "ptr-c");
-}
-
 TEST_F(SkipListTest, TombstoneStoredAndReadable) {
   list_.Insert(Slice("k"), Slice(), 1, ValueType::kTombstone);
   ValueType type;

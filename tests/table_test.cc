@@ -5,6 +5,8 @@
 
 #include <map>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "flodb/common/key_codec.h"
 #include "flodb/disk/mem_env.h"
@@ -249,6 +251,49 @@ TEST_P(TableBlockSweep, RoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(BlockSizes, TableBlockSweep,
                          ::testing::Values(64, 256, 1024, 4096, 65536));
+
+// An entry whose type byte is neither kValue nor kTombstone is corruption:
+// Get and iteration both fail instead of handing back a value of unknown
+// meaning. (4 was the value-pointer type of older, value-separating
+// builds.)
+TEST_F(TableTest, UnknownValueTypeIsCorruption) {
+  Build({{EncodeKey(1), {"a", 1, ValueType::kValue}},
+         {EncodeKey(2), {"pointer", 2, static_cast<ValueType>(4)}},
+         {EncodeKey(3), {"c", 3, ValueType::kValue}}});
+  auto reader = OpenTable();
+  ASSERT_NE(reader, nullptr);
+  std::string value;
+  EXPECT_TRUE(reader->Get(Slice(EncodeKey(2)), &value, nullptr, nullptr).IsCorruption());
+
+  auto iter = reader->NewIterator();
+  size_t seen = 0;
+  for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
+    ++seen;
+  }
+  EXPECT_EQ(seen, 1u) << "iteration stops at the unknown entry";
+  EXPECT_TRUE(iter->status().IsCorruption()) << iter->status().ToString();
+}
+
+// The bytes of one small table, pinned so the format cannot drift: a
+// table written by one build must read under the next.
+TEST_F(TableTest, GoldenTableBytes) {
+  Build({{"k1", {"v1", 1, ValueType::kValue}},
+         {"k2", {"", 2, ValueType::kTombstone}},
+         {"k3", {"value3", 3, ValueType::kValue}}});
+  const std::vector<uint8_t> golden = {
+      0x02, 0x6b, 0x31, 0x01, 0x00, 0x02, 0x76, 0x31, 0x02, 0x6b, 0x32, 0x02,
+      0x01, 0x00, 0x02, 0x6b, 0x33, 0x03, 0x00, 0x06, 0x76, 0x61, 0x6c, 0x75,
+      0x65, 0x33, 0x35, 0xcc, 0xbd, 0xd8, 0xc8, 0xca, 0x08, 0x38, 0x01, 0x00,
+      0x86, 0x80, 0x06, 0x02, 0x6b, 0x33, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x1a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x27, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x13, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x1e, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x09, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x01, 0xed, 0x5e, 0x1e, 0xab, 0xb7, 0x0d, 0xf1};
+  std::string contents;
+  ASSERT_TRUE(ReadFileToString(&env_, "/table", &contents).ok());
+  EXPECT_EQ(std::vector<uint8_t>(contents.begin(), contents.end()), golden);
+}
 
 }  // namespace
 }  // namespace flodb

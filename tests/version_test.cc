@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "flodb/common/coding.h"
 #include "flodb/common/key_codec.h"
+#include "flodb/core/flodb.h"
+#include "flodb/disk/crc32c.h"
 #include "flodb/disk/mem_env.h"
 
 namespace flodb {
@@ -175,6 +182,64 @@ TEST_F(VersionSetTest, IsBottommostForRange) {
   EXPECT_FALSE(v->IsBottommostForRange(1, Slice(EncodeKey(150)), Slice(EncodeKey(160))));
   EXPECT_TRUE(v->IsBottommostForRange(2, Slice(EncodeKey(150)), Slice(EncodeKey(160))));
   EXPECT_TRUE(v->IsBottommostForRange(1, Slice(EncodeKey(300)), Slice(EncodeKey(400))));
+}
+
+// Older builds could end a snapshot with a value-log section (value
+// separation). Its values live in files this build cannot read, so a
+// well-formed snapshot carrying one is refused, never opened with those
+// values missing.
+TEST_F(VersionSetTest, ValueLogManifestSectionRefused) {
+  std::string data;
+  PutFixed64(&data, 9);  // next_file_number
+  PutFixed32(&data, 7);  // num_levels
+  for (int level = 0; level < 7; ++level) {
+    PutFixed32(&data, 0);  // no tables
+  }
+  PutFixed32(&data, 1);  // one value-log file ...
+  PutFixed64(&data, 7);  // ... number 7
+  PutFixed64(&data, 0);  // ... with no garbage
+  PutFixed32(&data, 0);  // no table references it
+  PutFixed32(&data, crc32c::Mask(crc32c::Value(data.data(), data.size())));
+  ASSERT_TRUE(WriteStringToFile(&env_, Slice(data), "/db/MANIFEST-000001", true).ok());
+  ASSERT_TRUE(WriteStringToFile(&env_, Slice("MANIFEST-000001\n"), "/db/CURRENT", true).ok());
+
+  const Status s = versions_.Recover();
+  EXPECT_TRUE(s.IsNotSupported()) << s.ToString();
+  EXPECT_NE(s.ToString().find("value separation"), std::string::npos) << s.ToString();
+}
+
+// The MANIFEST snapshot a default store writes after one flush, pinned so
+// the format cannot drift: a directory written by one build must open
+// under the next.
+TEST(ManifestGoldenTest, DefaultStoreSnapshotBytes) {
+  MemEnv env;
+  FloDbOptions options;
+  options.disk.env = &env;
+  options.disk.path = "/db";
+  {
+    std::unique_ptr<FloDB> db;
+    ASSERT_TRUE(FloDB::Open(options, &db).ok());
+    for (uint64_t i = 1; i <= 3; ++i) {
+      ASSERT_TRUE(db->Put(Slice(EncodeKey(i)), Slice("value" + std::to_string(i))).ok());
+    }
+    ASSERT_TRUE(db->FlushAll().ok());
+  }
+  std::string current;
+  ASSERT_TRUE(ReadFileToString(&env, "/db/CURRENT", &current).ok());
+  EXPECT_EQ(current, "MANIFEST-000002\n");
+  std::string contents;
+  ASSERT_TRUE(ReadFileToString(&env, "/db/MANIFEST-000002", &contents).ok());
+  const std::vector<uint8_t> golden = {
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00,
+      0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x8c, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x01, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0xc6, 0x36, 0x76, 0x8f};
+  EXPECT_EQ(std::vector<uint8_t>(contents.begin(), contents.end()), golden);
 }
 
 }  // namespace
