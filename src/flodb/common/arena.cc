@@ -22,6 +22,19 @@ ConcurrentArena::~ConcurrentArena() {
   }
 }
 
+void ConcurrentArena::Reset() {
+  MutexLock lock(blocks_mu_);
+  for (const Block& b : blocks_) {
+    free(b.data);
+  }
+  blocks_.clear();
+  cur_block_.store(nullptr, std::memory_order_release);
+  cur_size_.store(0, std::memory_order_release);
+  cur_offset_.store(0, std::memory_order_release);
+  allocated_.store(0, std::memory_order_relaxed);
+  reserved_.store(0, std::memory_order_relaxed);
+}
+
 char* ConcurrentArena::Allocate(size_t n) {
   n = AlignUp(n);
   // Fast path: bump the offset of the current block. A generation counter

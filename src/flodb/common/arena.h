@@ -2,9 +2,9 @@
 //
 // Memtables and Membuffers allocate nodes, value cells and records from an
 // arena and never free them individually; the whole arena is released when
-// the component is retired (after an RCU grace period). Allocation is a
-// single fetch_add on the current block in the common case; a spinlock is
-// taken only to chain a new block.
+// the component is retired or reset (after an RCU grace period).
+// Allocation is a single fetch_add on the current block in the common
+// case; a spinlock is taken only to chain a new block.
 
 #ifndef FLODB_COMMON_ARENA_H_
 #define FLODB_COMMON_ARENA_H_
@@ -31,10 +31,16 @@ class ConcurrentArena {
   // nullptr; aborts on OOM (consistent with the no-exceptions policy).
   char* Allocate(size_t n);
 
-  // Total bytes handed out (approximate; monotone).
+  // Frees every block; the arena is empty and usable afterwards. Not
+  // safe against concurrent Allocate calls, and every pointer handed out
+  // before dangles: the owner must hold the only reference.
+  void Reset();
+
+  // Total bytes handed out since construction or the last Reset
+  // (approximate).
   size_t AllocatedBytes() const { return allocated_.load(std::memory_order_relaxed); }
 
-  // Total bytes reserved from the OS.
+  // Total bytes reserved from the OS since construction or the last Reset.
   size_t ReservedBytes() const { return reserved_.load(std::memory_order_relaxed); }
 
  private:

@@ -109,6 +109,7 @@ FloDB::~FloDB() {
   wal_.Close();
   delete mbf_.load(std::memory_order_relaxed);
   delete imm_mbf_.load(std::memory_order_relaxed);
+  delete spare_mbf_;
   delete mtb_.load(std::memory_order_relaxed);
   delete imm_mtb_.load(std::memory_order_relaxed);
 }
@@ -377,12 +378,7 @@ Status FloDB::FlushAll() {
   // 1. Move everything from the Membuffer into the Memtable.
   if (options_.enable_membuffer) {
     MutexLock master(master_mu_);
-    pause_draining_.store(true, std::memory_order_seq_cst);
-    pause_writers_.store(true, std::memory_order_seq_cst);
-    MemBuffer* old = SwapAndDrainMembufferLocked();
-    pause_writers_.store(false, std::memory_order_seq_cst);
-    pause_draining_.store(false, std::memory_order_seq_cst);
-    CleanupImmMembuffer(old);
+    SwapAndDrainMembufferLocked(/*scan_seq=*/nullptr);
   }
 
   // 2. Persist Memtables until memory is empty. Bail out on shutdown:

@@ -175,15 +175,13 @@ class FloDB final : public KVStore {
   MemBuffer* NewMembuffer() const;
   MemTable* NewMemTable() const;
 
-  // Swaps in a fresh Membuffer, synchronizes, and fully drains the old one
-  // (with help from spilling writers). Returns the drained-out buffer,
-  // still installed as imm_mbf_; nullptr when the Membuffer is disabled.
-  // REQUIRES additionally: pause flags set by the caller.
-  MemBuffer* SwapAndDrainMembufferLocked() REQUIRES(master_mu_);
-  // Uninstalls and reclaims the immutable Membuffer after a grace period.
-  // master_mu_ keeps cleanup serialized against rotations and master scans
-  // (every caller is such a flow already).
-  void CleanupImmMembuffer(MemBuffer* old) REQUIRES(master_mu_);
+  // Pauses writers' spills and the background drain, swaps in the empty
+  // spare Membuffer (allocated at the first swap), fully drains the old one
+  // (with help from spilling writers) and uninstalls it. With scan_seq,
+  // takes the scan seq while still paused. After a grace period it
+  // resumes writers and draining, then resets the old buffer and keeps it
+  // as the spare.
+  void SwapAndDrainMembufferLocked(uint64_t* scan_seq) REQUIRES(master_mu_);
   bool HelpDrainChunk(MemBuffer* imm);
 
   // ---- durability pipeline (DESIGN.md §10) ----
@@ -266,13 +264,17 @@ class FloDB final : public KVStore {
   // post-swap grace period: a writer that resolved the old buffer before
   // the swap may still be completing an Add into a bucket, and a helper
   // collecting that bucket early would let the write vanish when the
-  // buffer is destroyed.
+  // buffer is reset.
   std::atomic<bool> imm_mbf_drain_ready_{false};
 
-  // Serializes master scans, rotations and fallback scans. A pure
-  // critical-section lock: the state it orders (component pointers, pause
-  // flags) is atomics published under RCU, so nothing is GUARDED_BY it.
+  // Serializes master scans, rotations and fallback scans. The state it
+  // orders (component pointers, pause flags) is atomics published under
+  // RCU; only the spare Membuffer is GUARDED_BY it.
   Mutex master_mu_;
+  // The reset half of the Membuffer pair between swaps: at most two
+  // MemBuffers exist, mbf_ plus imm_mbf_ or this spare. Reachable by no
+  // reader, so it is only a plain pointer.
+  MemBuffer* spare_mbf_ GUARDED_BY(master_mu_) = nullptr;
 
   // Scan coordination (piggybacking).
   Mutex scan_mu_;

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
+#include <utility>
 
 #include "flodb/core/flodb.h"
 #include "flodb/core/memtable_iterator.h"
@@ -110,12 +111,7 @@ void FloDB::DrainLoop() {
     }
     if (pressure) {
       if (master_mu_.try_lock()) {
-        pause_draining_.store(true, std::memory_order_seq_cst);
-        pause_writers_.store(true, std::memory_order_seq_cst);
-        MemBuffer* old = SwapAndDrainMembufferLocked();
-        pause_writers_.store(false, std::memory_order_seq_cst);
-        pause_draining_.store(false, std::memory_order_seq_cst);
-        CleanupImmMembuffer(old);
+        SwapAndDrainMembufferLocked(/*scan_seq=*/nullptr);
         membuffer_rotations_.fetch_add(1, std::memory_order_relaxed);
         master_mu_.unlock();
       }
@@ -140,7 +136,10 @@ void FloDB::DrainLoop() {
     {
       RcuReadGuard guard(rcu_);
       MemBuffer* mbf = mbf_.load(std::memory_order_seq_cst);
-      if (mbf != nullptr) {
+      // The pause is re-read after the buffer: a swap raises it before
+      // installing the new buffer, so a pass that sees the new buffer
+      // leaves it alone until the old one is drained and unreadable.
+      if (mbf != nullptr && !pause_draining_.load(std::memory_order_seq_cst)) {
         mbf_partitions = mbf->NumPartitions();
         const uint64_t partition = mbf->ClaimPartition();
         collected = mbf->CollectAndMark(partition, kDrainBatch, &batch);
@@ -190,38 +189,48 @@ bool FloDB::HelpDrainImmMembuffer() {
   return HelpDrainChunk(imm);
 }
 
-MemBuffer* FloDB::SwapAndDrainMembufferLocked() {
-  if (!options_.enable_membuffer) {
-    return nullptr;
-  }
-  MemBuffer* old = mbf_.load(std::memory_order_seq_cst);
-  imm_mbf_.store(old, std::memory_order_seq_cst);
-  mbf_.store(NewMembuffer(), std::memory_order_seq_cst);
-  // Wait for writers mid-Add on the old buffer (and mid-Add Memtable
-  // writers whose seq must precede the scan seq) — the MemBufferRCUWait /
-  // MemTableRCUWait pair of Algorithm 3, collapsed into one domain.
-  rcu_.Synchronize();
-  // The old buffer is now immutable; helpers may collect from it.
-  imm_mbf_drain_ready_.store(true, std::memory_order_seq_cst);
-  // Drain it completely. Spilling writers help via HelpDrainImmMembuffer.
-  while (!old->FullyDrained()) {
-    if (!HelpDrainChunk(old)) {
-      // All chunks claimed; wait for helpers to finish inserting.
-      std::this_thread::yield();
+void FloDB::SwapAndDrainMembufferLocked(uint64_t* scan_seq) {
+  pause_draining_.store(true, std::memory_order_seq_cst);
+  pause_writers_.store(true, std::memory_order_seq_cst);
+  MemBuffer* old = nullptr;
+  if (options_.enable_membuffer) {
+    old = mbf_.load(std::memory_order_seq_cst);
+    imm_mbf_.store(old, std::memory_order_seq_cst);
+    // The pair of §4.1: install the spare, reset by the previous swap.
+    // Only the first swap allocates it, so Open pays for one buffer.
+    MemBuffer* next =
+        spare_mbf_ != nullptr ? std::exchange(spare_mbf_, nullptr) : NewMembuffer();
+    mbf_.store(next, std::memory_order_seq_cst);
+    // Wait for writers mid-Add on the old buffer (and mid-Add Memtable
+    // writers whose seq must precede the scan seq) — the MemBufferRCUWait /
+    // MemTableRCUWait pair of Algorithm 3, collapsed into one domain.
+    rcu_.Synchronize();
+    // The old buffer is now immutable; helpers may collect from it.
+    imm_mbf_drain_ready_.store(true, std::memory_order_seq_cst);
+    // Drain it completely. Spilling writers help via HelpDrainImmMembuffer.
+    while (!old->FullyDrained()) {
+      if (!HelpDrainChunk(old)) {
+        // All chunks claimed; wait for helpers to finish inserting.
+        std::this_thread::yield();
+      }
     }
+    // Uninstall it while draining and spills are still paused. Reads check
+    // IMM_MBF before the Memtable, so while a reader can reach the old
+    // buffer, a newer value of one of its keys must not leave the active
+    // buffer or spill into the Memtable, or the read returns the old copy.
+    imm_mbf_drain_ready_.store(false, std::memory_order_seq_cst);
+    imm_mbf_.store(nullptr, std::memory_order_seq_cst);
+    rcu_.Synchronize();
   }
-  return old;
-}
-
-void FloDB::CleanupImmMembuffer(MemBuffer* old) {
-  if (old == nullptr) {
-    return;
+  if (scan_seq != nullptr) {
+    *scan_seq = FreshScanSeq();
   }
-  imm_mbf_drain_ready_.store(false, std::memory_order_seq_cst);
-  imm_mbf_.store(nullptr, std::memory_order_seq_cst);
-  // Readers (Gets, helpers) may still hold the pointer: grace period.
-  rcu_.Synchronize();
-  delete old;
+  pause_writers_.store(false, std::memory_order_seq_cst);
+  pause_draining_.store(false, std::memory_order_seq_cst);
+  if (old != nullptr) {
+    old->Reset();  // no reader can reach it any more
+    spare_mbf_ = old;
+  }
 }
 
 void FloDB::PersistLoop() {
@@ -297,12 +306,7 @@ void FloDB::PersistLoop() {
       //    decoupled persist.
       if (options_.enable_wal && options_.enable_membuffer) {
         MutexLock master(master_mu_);
-        pause_draining_.store(true, std::memory_order_seq_cst);
-        pause_writers_.store(true, std::memory_order_seq_cst);
-        MemBuffer* old_mbf = SwapAndDrainMembufferLocked();
-        pause_writers_.store(false, std::memory_order_seq_cst);
-        pause_draining_.store(false, std::memory_order_seq_cst);
-        CleanupImmMembuffer(old_mbf);
+        SwapAndDrainMembufferLocked(/*scan_seq=*/nullptr);
       }
 
       // 4. Switch Memtables: an RCU pointer swap that blocks no one

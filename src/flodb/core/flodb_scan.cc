@@ -105,12 +105,7 @@ Status FloDB::FallbackPass(const Slice& start, const Slice& high_key, size_t lim
 void FloDB::EstablishMasterSeq(uint64_t* seq) {
   {
     MutexLock master(master_mu_);
-    pause_draining_.store(true, std::memory_order_seq_cst);
-    pause_writers_.store(true, std::memory_order_seq_cst);
-    MemBuffer* old = SwapAndDrainMembufferLocked();
-    *seq = FreshScanSeq();
-    pause_writers_.store(false, std::memory_order_seq_cst);
-    pause_draining_.store(false, std::memory_order_seq_cst);
+    SwapAndDrainMembufferLocked(seq);
     {
       MutexLock lock(scan_mu_);
       published_seq_ = *seq;
@@ -119,7 +114,6 @@ void FloDB::EstablishMasterSeq(uint64_t* seq) {
       reuse_count_ = 0;
     }
     scan_cv_.SignalAll();
-    CleanupImmMembuffer(old);
   }
 }
 

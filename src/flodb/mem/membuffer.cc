@@ -1,7 +1,9 @@
 #include "flodb/mem/membuffer.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
+#include <iterator>
 
 #include "flodb/common/hash.h"
 #include "flodb/common/key_codec.h"
@@ -36,6 +38,7 @@ MemBuffer::MemBuffer(const Options& options) : options_(options) {
   num_buckets_ = want_buckets;
   buckets_per_partition_ = num_buckets_ / num_partitions_;
   buckets_ = std::vector<Bucket>(num_buckets_);
+  occupied_ = std::vector<std::atomic<uint64_t>>((num_buckets_ + 63) / 64);
 }
 
 MemBuffer::~MemBuffer() = default;
@@ -66,8 +69,26 @@ uint64_t MemBuffer::BucketIndexFor(const Slice& key) const {
   return partition * buckets_per_partition_ + (h & (buckets_per_partition_ - 1));
 }
 
+// Relaxed suffices: a bit changes only under its bucket lock, which orders
+// it for the next lock holder, and full-drain collectors read the words
+// only after the post-swap grace period.
+void MemBuffer::MarkOccupied(uint64_t b) {
+  std::atomic<uint64_t>& word = occupied_[b / 64];
+  const uint64_t bit = uint64_t{1} << (b % 64);
+  // Load first: a bucket refilled before it ever emptied needs no RMW on
+  // the shared word.
+  if ((word.load(std::memory_order_relaxed) & bit) == 0) {
+    word.fetch_or(bit, std::memory_order_relaxed);
+  }
+}
+
+void MemBuffer::ClearOccupied(uint64_t b) {
+  occupied_[b / 64].fetch_and(~(uint64_t{1} << (b % 64)), std::memory_order_relaxed);
+}
+
 MemBuffer::AddResult MemBuffer::Add(const Slice& key, const Slice& value, ValueType type) {
-  Bucket& bucket = buckets_[BucketIndexFor(key)];
+  const uint64_t b = BucketIndexFor(key);
+  Bucket& bucket = buckets_[b];
   SpinLockHolder guard(bucket.lock);
 
   int free_slot = -1;
@@ -110,6 +131,7 @@ MemBuffer::AddResult MemBuffer::Add(const Slice& key, const Slice& value, ValueT
   slot.rec = MakeRecord(key, value, type);
   slot.version++;
   bucket.marked_mask &= static_cast<uint8_t>(~(1u << free_slot));
+  MarkOccupied(b);
   live_entries_.fetch_add(1, std::memory_order_relaxed);
   live_bytes_.fetch_add(EntryFootprint(key, value), std::memory_order_relaxed);
   return AddResult::kAdded;
@@ -173,6 +195,10 @@ void MemBuffer::FinishDrain(const std::vector<DrainedEntry>& entries) {
                             std::memory_order_relaxed);
       live_entries_.fetch_sub(1, std::memory_order_relaxed);
       slot.rec = nullptr;
+      if (std::all_of(std::begin(bucket.slots), std::end(bucket.slots),
+                      [](const Slot& s) { return s.rec == nullptr; })) {
+        ClearOccupied(e.bucket);
+      }
     }
     // else: concurrently updated — leave the (fresher) entry for a later
     // drain pass. The stale copy already inserted in the Memtable is
@@ -192,24 +218,56 @@ bool MemBuffer::ClaimBucketRange(size_t chunk, uint64_t* begin, uint64_t* end) {
 }
 
 void MemBuffer::CollectRange(uint64_t begin, uint64_t end, std::vector<DrainedEntry>* out) const {
-  for (uint64_t b = begin; b < end; ++b) {
-    const Bucket& bucket = buckets_[b];
-    SpinLockHolder guard(bucket.lock);
-    for (int i = 0; i < kSlotsPerBucket; ++i) {
-      const Slot& slot = bucket.slots[i];
-      if (slot.rec == nullptr) {
-        continue;
+  for (uint64_t w = begin / 64; w * 64 < end; ++w) {
+    uint64_t bits = occupied_[w].load(std::memory_order_relaxed);
+    // Keep only the bits of buckets in [begin, end).
+    const uint64_t first = w * 64;
+    if (begin > first) {
+      bits &= ~uint64_t{0} << (begin - first);
+    }
+    if (end < first + 64) {
+      bits &= (uint64_t{1} << (end - first)) - 1;
+    }
+    for (; bits != 0; bits &= bits - 1) {
+      const uint64_t b = first + static_cast<uint64_t>(std::countr_zero(bits));
+      const Bucket& bucket = buckets_[b];
+      SpinLockHolder guard(bucket.lock);
+      for (int i = 0; i < kSlotsPerBucket; ++i) {
+        const Slot& slot = bucket.slots[i];
+        if (slot.rec == nullptr) {
+          continue;
+        }
+        DrainedEntry e;
+        e.key = slot.rec->key().ToString();
+        e.value = slot.rec->value().ToString();
+        e.type = slot.rec->type;
+        e.bucket = b;
+        e.slot = i;
+        e.version = slot.version;
+        out->push_back(std::move(e));
       }
-      DrainedEntry e;
-      e.key = slot.rec->key().ToString();
-      e.value = slot.rec->value().ToString();
-      e.type = slot.rec->type;
-      e.bucket = b;
-      e.slot = i;
-      e.version = slot.version;
-      out->push_back(std::move(e));
     }
   }
+}
+
+void MemBuffer::Reset() {
+  for (size_t w = 0; w < occupied_.size(); ++w) {
+    uint64_t bits = occupied_[w].exchange(0, std::memory_order_relaxed);
+    for (; bits != 0; bits &= bits - 1) {
+      Bucket& bucket = buckets_[w * 64 + static_cast<uint64_t>(std::countr_zero(bits))];
+      SpinLockHolder guard(bucket.lock);
+      bucket.marked_mask = 0;
+      for (Slot& slot : bucket.slots) {
+        slot.rec = nullptr;
+      }
+    }
+  }
+  arena_.Reset();
+  live_entries_.store(0, std::memory_order_relaxed);
+  live_bytes_.store(0, std::memory_order_relaxed);
+  drain_partition_cursor_.store(0, std::memory_order_relaxed);
+  claim_cursor_.store(0, std::memory_order_relaxed);
+  buckets_done_.store(0, std::memory_order_relaxed);
 }
 
 void MemBuffer::ForEach(

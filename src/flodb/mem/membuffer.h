@@ -90,13 +90,15 @@ class MemBuffer {
   // ---- full drain support (immutable buffer; scans, rotations) ----
   // Helpers repeatedly claim disjoint bucket ranges, copy out all entries
   // (no marking: the buffer is immutable for writers by then), insert them
-  // into the Memtable, then report completion. The buffer itself is
-  // destroyed afterwards, so slots are never removed.
+  // into the Memtable, then report completion. Slots are never removed
+  // here: once no reader can reach the buffer, the owner Resets it and
+  // installs it again as the next active buffer (the paper's pair, §4.1).
 
   // Returns false when all buckets have been claimed.
   bool ClaimBucketRange(size_t chunk, uint64_t* begin, uint64_t* end);
 
-  // Copies all live entries of buckets [begin, end) into *out.
+  // Copies all live entries of buckets [begin, end) into *out. Visits only
+  // occupied buckets, so a chunk of 64 aligned buckets is one bitmap word.
   void CollectRange(uint64_t begin, uint64_t end, std::vector<DrainedEntry>* out) const;
 
   // Marks `n` buckets as fully processed (drained into the Memtable).
@@ -104,6 +106,12 @@ class MemBuffer {
   bool FullyDrained() const {
     return buckets_done_.load(std::memory_order_acquire) >= num_buckets_;
   }
+
+  // Empties the buffer for reuse: clears the occupied buckets, frees the
+  // arena and zeroes the counters and cursors. Costs O(occupied buckets).
+  // Slot versions are kept; they only have to increase. The caller must
+  // hold the only reference (after an RCU grace period).
+  void Reset();
 
   // ---- introspection ----
 
@@ -154,12 +162,19 @@ class MemBuffer {
   Record* MakeRecord(const Slice& key, const Slice& value, ValueType type);
   uint64_t BucketIndexFor(const Slice& key) const;
   static uint64_t PartitionOf(const Slice& key, int partition_bits);
+  // Occupancy bit maintenance; the caller holds bucket b's lock.
+  void MarkOccupied(uint64_t b);
+  void ClearOccupied(uint64_t b);
 
   const Options options_;
   uint64_t num_partitions_;
   uint64_t buckets_per_partition_;
   uint64_t num_buckets_;
   std::vector<Bucket> buckets_;
+  // One bit per bucket, 64 buckets per word: set exactly while the bucket
+  // holds a record. A bit changes only under its bucket's lock; the word
+  // is atomic because 64 buckets share it.
+  std::vector<std::atomic<uint64_t>> occupied_;
   mutable ConcurrentArena arena_;
 
   std::atomic<size_t> live_entries_{0};

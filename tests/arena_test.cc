@@ -64,6 +64,28 @@ TEST(ArenaTest, TracksAllocatedBytes) {
   EXPECT_GE(arena.ReservedBytes(), arena.AllocatedBytes());
 }
 
+TEST(ArenaTest, ResetFreesEverythingAndStaysUsable) {
+  ConcurrentArena arena(4096);
+  for (int i = 0; i < 100; ++i) {
+    memset(arena.Allocate(100), 1, 100);
+  }
+  memset(arena.Allocate(10'000), 2, 10'000);  // a dedicated block too
+  ASSERT_GT(arena.ReservedBytes(), 4096u);
+  arena.Reset();
+  EXPECT_EQ(arena.AllocatedBytes(), 0u);
+  EXPECT_EQ(arena.ReservedBytes(), 0u);
+  std::vector<char*> ptrs;
+  for (int i = 0; i < 100; ++i) {
+    ptrs.push_back(arena.Allocate(100));
+    memset(ptrs.back(), i, 100);
+  }
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_EQ(ptrs[static_cast<size_t>(i)][99], static_cast<char>(i));
+  }
+  EXPECT_GE(arena.AllocatedBytes(), 100u * 100u);
+  EXPECT_GE(arena.ReservedBytes(), arena.AllocatedBytes());
+}
+
 TEST(ArenaTest, ConcurrentAllocationsNeverAlias) {
   ConcurrentArena arena(8192);
   constexpr int kThreads = 4;

@@ -216,6 +216,85 @@ TEST_F(FloDBScanTest, ScansWithConcurrentWritersStayConsistent) {
   EXPECT_GT(stats.master_scans, 0u);
 }
 
+// Every master scan swaps in the spare Membuffer that the previous scan
+// reset. A spare reset while a reader still used it, or one that kept a
+// stale bucket, would surface here as a value older than one already
+// acknowledged when the scan (or Get) began.
+TEST_F(FloDBScanTest, MasterScansOverRecycledMembuffersMissNoAckedWrite) {
+  Open(SmallOptions());
+  constexpr uint64_t kKeys = 200;
+  constexpr int kScans = 500;
+  auto encode = [](uint64_t v) {
+    std::string s = std::to_string(v);
+    return std::string(12 - s.size(), '0') + s;
+  };
+  std::vector<std::atomic<uint64_t>> acked(kKeys);
+  for (uint64_t i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE(db_->Put(Slice(K(i)), Slice(encode(0))).ok());
+  }
+  // Writer w owns the keys i with i % 2 == w and writes them round-robin
+  // with its own increasing counter, so each key's values only increase.
+  std::atomic<bool> stop{false};
+  std::atomic<bool> writer_failed{false};
+  std::vector<std::thread> threads;
+  for (uint64_t w = 0; w < 2; ++w) {
+    threads.emplace_back([&, w] {
+      for (uint64_t v = 1; !stop.load(); ++v) {
+        for (uint64_t i = w; i < kKeys && !stop.load(); i += 2) {
+          if (!db_->Put(Slice(K(i)), Slice(encode(v))).ok()) {
+            writer_failed.store(true);
+            return;
+          }
+          acked[i].store(v);
+        }
+      }
+    });
+  }
+  // Gets probe both buffers of the pair, including the immutable one a
+  // cleanup is about to reset.
+  std::atomic<uint64_t> stale_gets{0};
+  threads.emplace_back([&] {
+    std::string value;
+    for (uint64_t i = 0; !stop.load(); i = (i + 1) % kKeys) {
+      const uint64_t before = acked[i].load();
+      if (!db_->Get(Slice(K(i)), &value).ok() || std::stoull(value) < before) {
+        stale_gets.fetch_add(1);
+      }
+    }
+  });
+
+  ReadOptions master;
+  master.snapshot_mode = SnapshotMode::kMaster;
+  std::vector<uint64_t> acked_before(kKeys);
+  std::string failure;
+  for (int scan = 0; scan < kScans && failure.empty(); ++scan) {
+    for (uint64_t i = 0; i < kKeys; ++i) {
+      acked_before[i] = acked[i].load();
+    }
+    ScanResult out;
+    Status s = db_->Scan(master, Slice(K(0)), Slice(K(kKeys)), 0, &out);
+    if (!s.ok() || out.size() != kKeys) {
+      failure = "scan " + std::to_string(scan) + ": " + s.ToString() + ", " +
+                std::to_string(out.size()) + " keys";
+      break;
+    }
+    for (uint64_t i = 0; i < kKeys && failure.empty(); ++i) {
+      if (out[i].first != K(i) || std::stoull(out[i].second) < acked_before[i]) {
+        failure = "scan " + std::to_string(scan) + " lost an acknowledged write of key " +
+                  std::to_string(i);
+      }
+    }
+  }
+  stop.store(true);
+  for (auto& t : threads) {
+    t.join();
+  }
+  EXPECT_EQ(failure, "");
+  EXPECT_EQ(stale_gets.load(), 0u);
+  EXPECT_FALSE(writer_failed.load());
+  EXPECT_GE(db_->GetStats().master_scans, static_cast<uint64_t>(kScans));
+}
+
 TEST_F(FloDBScanTest, ConcurrentScansPiggyback) {
   Open(SmallOptions());
   for (uint64_t i = 0; i < 1000; ++i) {

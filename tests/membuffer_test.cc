@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <thread>
@@ -382,6 +383,115 @@ TEST(MemBufferTest, ForEachVisitsEveryEntry) {
     seen.insert(DecodeKey(key));
   });
   EXPECT_EQ(seen, keys);
+}
+
+// Adds keys from `rng` until the byte budget is spent; returns every
+// AddResult in order, the added keys in *keys.
+std::vector<MemBuffer::AddResult> FillUntilCapacity(MemBuffer* buffer, uint64_t seed,
+                                                    std::vector<uint64_t>* keys) {
+  Random64 rng(seed);
+  std::vector<MemBuffer::AddResult> results;
+  while (buffer->LiveBytes() < buffer->CapacityBytes()) {
+    const uint64_t k = rng.Next();
+    results.push_back(buffer->Add(Slice(EncodeKey(k)), Slice("value-" + std::to_string(k % 97)),
+                                  ValueType::kValue));
+    if (results.back() == MemBuffer::AddResult::kAdded && keys != nullptr) {
+      keys->push_back(k);
+    }
+  }
+  results.push_back(buffer->Add(Slice(EncodeKey(rng.Next())), Slice("x"), ValueType::kValue));
+  return results;
+}
+
+// A recycled buffer must behave exactly like a fresh one, even when it is
+// reset full and with a background drain batch still marked.
+TEST(MemBufferTest, ResetEmptiesAFullMidDrainBuffer) {
+  MemBuffer buffer(SmallOptions());
+  std::vector<uint64_t> old_keys;
+  const std::vector<MemBuffer::AddResult> fresh_results =
+      FillUntilCapacity(&buffer, /*seed=*/7, &old_keys);
+  ASSERT_EQ(fresh_results.back(), MemBuffer::AddResult::kFull);
+  ASSERT_GT(old_keys.size(), 1000u);
+
+  // Mid-drain: marked slots in every partition, a half-claimed full drain.
+  for (uint64_t p = 0; p < buffer.NumPartitions(); ++p) {
+    std::vector<DrainedEntry> batch;
+    ASSERT_GT(buffer.CollectAndMark(p, 16, &batch), 0u);
+  }
+  uint64_t begin, end;
+  ASSERT_TRUE(buffer.ClaimBucketRange(buffer.NumBuckets() / 2, &begin, &end));
+  buffer.MarkBucketsDone(end - begin);
+
+  buffer.Reset();
+  EXPECT_EQ(buffer.LiveEntries(), 0u);
+  EXPECT_EQ(buffer.LiveBytes(), 0u);
+  EXPECT_FALSE(buffer.FullyDrained());
+  EXPECT_FALSE(buffer.UnderMemoryPressure());
+  for (uint64_t k : old_keys) {
+    ASSERT_FALSE(buffer.Get(Slice(EncodeKey(k)), nullptr, nullptr)) << k;
+  }
+  size_t visited = 0;
+  buffer.ForEach([&](const Slice&, const Slice&, ValueType) { ++visited; });
+  EXPECT_EQ(visited, 0u);
+
+  // Refilled with the same keys, it accepts and rejects exactly what a
+  // fresh buffer does, and every slot is drainable again (no stale marks).
+  EXPECT_EQ(FillUntilCapacity(&buffer, /*seed=*/7, nullptr), fresh_results);
+  EXPECT_EQ(buffer.LiveEntries(), old_keys.size());
+  size_t drained = 0;
+  for (uint64_t p = 0; p < buffer.NumPartitions(); ++p) {
+    std::vector<DrainedEntry> batch;
+    drained += buffer.CollectAndMark(p, SIZE_MAX, &batch);
+    buffer.FinishDrain(batch);
+  }
+  EXPECT_EQ(drained, old_keys.size());
+  EXPECT_EQ(buffer.LiveEntries(), 0u);
+}
+
+// CollectRange visits only the buckets the occupancy bitmap marks, so the
+// bitmap must follow buckets that the background drain emptied and adds
+// refilled.
+TEST(MemBufferTest, FullDrainAfterPartialDrainAndRefillSeesEveryEntry) {
+  MemBuffer buffer(SmallOptions());
+  Random64 rng(11);
+  std::vector<uint64_t> keys;
+  for (int i = 0; i < 3000; ++i) {
+    keys.push_back(rng.Next());
+    buffer.Add(Slice(EncodeKey(keys.back())), Slice("a"), ValueType::kValue);
+  }
+  // Drain part of every partition: some buckets empty, some keep entries.
+  for (int pass = 0; pass < 3; ++pass) {
+    for (uint64_t p = 0; p < buffer.NumPartitions(); ++p) {
+      std::vector<DrainedEntry> batch;
+      buffer.CollectAndMark(p, 64, &batch);
+      buffer.FinishDrain(batch);
+    }
+  }
+  // Refill: old keys (some into emptied buckets) and new ones.
+  for (size_t i = 0; i < keys.size(); i += 3) {
+    buffer.Add(Slice(EncodeKey(keys[i])), Slice("b"), ValueType::kValue);
+  }
+  for (int i = 0; i < 500; ++i) {
+    buffer.Add(Slice(EncodeKey(rng.Next())), Slice("c"), ValueType::kValue);
+  }
+
+  std::map<std::string, std::string> expected;
+  buffer.ForEach([&](const Slice& key, const Slice& value, ValueType) {
+    expected.emplace(key.ToString(), value.ToString());
+  });
+  ASSERT_GT(expected.size(), 1000u);
+  std::map<std::string, std::string> collected;
+  uint64_t begin, end;
+  while (buffer.ClaimBucketRange(64, &begin, &end)) {
+    std::vector<DrainedEntry> chunk;
+    buffer.CollectRange(begin, end, &chunk);
+    for (const DrainedEntry& e : chunk) {
+      EXPECT_TRUE(collected.emplace(e.key, e.value).second) << "duplicate in full drain";
+    }
+    buffer.MarkBucketsDone(end - begin);
+  }
+  EXPECT_TRUE(buffer.FullyDrained());
+  EXPECT_EQ(collected, expected);
 }
 
 }  // namespace

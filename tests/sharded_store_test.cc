@@ -672,6 +672,11 @@ TEST(ShardedStoreTest, MergedScanNeverObservesHalfACrossShardBatch) {
       rounds.store(r);
     }
   });
+  // The first scan waits for round 1, so no scan can finish before the
+  // writer has committed anything.
+  while (rounds.load() == 0 && !writer_failed.load()) {
+    std::this_thread::yield();
+  }
   for (uint64_t scan = 0; scan < kScans; ++scan) {
     auto it = store->NewScanIterator(ReadOptions(), Slice(), Slice());
     std::vector<std::string> values;
