@@ -12,9 +12,6 @@
 //   FLODB_BENCH_VALUE     value bytes                   (default 64)
 //   FLODB_BENCH_MEMORY    memory component bytes        (default 2097152)
 //   FLODB_BENCH_DISK_MBPS persistence bandwidth cap     (default 32)
-//   FLODB_BENCH_SHARDS    comma list of FloDB shard     (default "1")
-//                         counts to sweep (system figs
-//                         add one FloDB column per count)
 //   FLODB_BENCH_CACHE     comma list of extra FloDB      (default none)
 //                         block-cache byte sizes; each
 //                         adds a FloDB column at that
@@ -35,7 +32,6 @@
 #include "flodb/bench_util/report.h"
 #include "flodb/bench_util/workload.h"
 #include "flodb/core/flodb.h"
-#include "flodb/core/sharded_store.h"
 #include "flodb/disk/mem_env.h"
 #include "flodb/disk/throttled_env.h"
 
@@ -75,9 +71,6 @@ struct BenchConfig {
   size_t value_bytes = 64;
   size_t memory_bytes = 2u << 20;
   uint64_t disk_mbps = 32;
-  // FloDB shard counts to sweep; every count > 1 opens a ShardedKVStore
-  // column next to the plain-FloDB one.
-  std::vector<int> shard_counts = {1};
   // Extra FloDB block-cache sizes to sweep; every entry adds a FloDB
   // column opened with that block_cache_bytes (0 = caching off) next to
   // the default-cache column.
@@ -93,7 +86,6 @@ struct BenchConfig {
     config.memory_bytes = static_cast<size_t>(EnvInt("FLODB_BENCH_MEMORY", 2 << 20));
     config.disk_mbps = static_cast<uint64_t>(EnvInt("FLODB_BENCH_DISK_MBPS", 32));
     config.threads = ParseIntList(getenv("FLODB_BENCH_THREADS"), config.threads);
-    config.shard_counts = ParseIntList(getenv("FLODB_BENCH_SHARDS"), config.shard_counts);
     config.cache_bytes_list = ParseInt64List(getenv("FLODB_BENCH_CACHE"), {});
     config.json_path = JsonPathFromArgs(argc, argv);
     return config;
@@ -155,12 +147,10 @@ inline BaselineOptions BaselinePreset(StoreId id, size_t memory_bytes, const Dis
 // Opens a fresh store of the given kind over a throttled in-memory disk.
 // memory_bytes is the total memory-component budget (FloDB splits it 1:3;
 // baselines give it all to their single memtable, as in the paper).
-// `shards` > 1 opens FloDB as a range-partitioned ShardedKVStore (ignored
-// by the baselines, which have no sharded mode). `block_cache_bytes` >= 0
-// overrides the DiskOptions block-cache default for FloDB columns (0 =
-// caching off); -1 keeps the default.
+// `block_cache_bytes` >= 0 overrides the DiskOptions block-cache default
+// for FloDB columns (0 = caching off); -1 keeps the default.
 inline StoreInstance OpenStore(StoreId id, const BenchConfig& config, size_t memory_bytes,
-                               int shards = 1, long long block_cache_bytes = -1) {
+                               long long block_cache_bytes = -1) {
   StoreInstance instance;
   instance.mem_env = std::make_unique<MemEnv>();
   instance.throttled_env =
@@ -182,16 +172,9 @@ inline StoreInstance OpenStore(StoreId id, const BenchConfig& config, size_t mem
     // The paper's evaluation configuration: masters may reuse the
     // previous scan seq (serializable scans, §4.4 optimization).
     options.scan_master_reuse_limit = 8;
-    options.shards = shards;
-    if (shards > 1) {
-      std::unique_ptr<ShardedKVStore> db;
-      status = ShardedKVStore::Open(options, &db);
-      instance.store = std::move(db);
-    } else {
-      std::unique_ptr<FloDB> db;
-      status = FloDB::Open(options, &db);
-      instance.store = std::move(db);
-    }
+    std::unique_ptr<FloDB> db;
+    status = FloDB::Open(options, &db);
+    instance.store = std::move(db);
   } else {
     std::unique_ptr<BaselineStore> db;
     status = BaselineStore::Open(BaselinePreset(id, memory_bytes, disk), &db);

@@ -45,7 +45,7 @@ int main() {
     snprintf(mem_label, sizeof(mem_label), "%zuKB", memory >> 10);
     std::vector<std::string> row = {mem_label};
     for (const Column& column : columns) {
-      StoreInstance instance = OpenStore(column.id, config, memory, 1, column.cache_bytes);
+      StoreInstance instance = OpenStore(column.id, config, memory, column.cache_bytes);
       LoadRandomOrder(instance.get(), config.key_space / 2, config.key_space,
                       config.value_bytes);
       instance->FlushAll();

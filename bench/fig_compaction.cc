@@ -169,7 +169,6 @@ int main(int argc, char** argv) {
     if (json) {
       report.JsonRow({{"store", "FloDB"}},
                      {{"threads", static_cast<double>(threads)},
-                      {"shards", 1.0},
                       {"mops", read_mops},
                       {"write_amp", write_amp},
                       {"space_amp", space_amp},

@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
 
     for (size_t d = 0; d < 2; ++d) {
       StoreInstance instance =
-          OpenStore(StoreId::kFloDB, config, config.memory_bytes, /*shards=*/1, cache);
+          OpenStore(StoreId::kFloDB, config, config.memory_bytes, cache);
       LoadSequential(instance.get(), config.key_space, config.value_bytes);
       instance->FlushAll();
 
@@ -93,7 +93,6 @@ int main(int argc, char** argv) {
           std::string("FloDB-") + dists[d].name + "-" + cache_label;
       report.JsonRow({{"store", store_name}, {"dist", dists[d].name}},
                      {{"threads", static_cast<double>(threads)},
-                      {"shards", 1.0},
                       {"cache_bytes", static_cast<double>(cache)},
                       {"mops", mops},
                       {"hit_rate", hit_rate}});

@@ -141,11 +141,10 @@ int main(int argc, char** argv) {
       report.Csv({std::to_string(conns), std::to_string(depth), Report::Fmt(ops_per_sec, 1),
                   Report::Fmt(p50_us, 2), Report::Fmt(p99_us, 2)});
       if (json) {
-        // The regression gate keys rows on (store, threads, shards):
+        // The regression gate keys rows on (store, threads):
         // pipeline depth rides in the store name, connections in threads.
         report.JsonRow({{"store", "flodb-server-p" + std::to_string(depth)}},
                        {{"threads", static_cast<double>(conns)},
-                        {"shards", 1.0},
                         {"mops", ops_per_sec / 1e6},
                         {"pipeline", static_cast<double>(depth)},
                         {"burst_p50_us", p50_us},

@@ -106,7 +106,6 @@ int main(int argc, char** argv) {
     if (json) {
       report.JsonRow({{"store", "FloDB-sync-coalesce"}},
                      {{"threads", static_cast<double>(threads)},
-                      {"shards", 1.0},
                       {"mops", writes_per_sec / 1e6},
                       {"wal_syncs", static_cast<double>(stats.wal_syncs)},
                       {"writes", static_cast<double>(writes)},

@@ -2,11 +2,8 @@
 // swept over thread counts, with a per-figure workload and initialization
 // recipe. Prints one column per store, one row per thread count, plus CSV.
 //
-// FLODB_BENCH_SHARDS=1,4 adds one FloDB column per extra shard count
-// (range-partitioned ShardedKVStore), so the sharding scale lever shows
-// up directly next to the baselines. With a JSON sink (--json out.json /
-// FLODB_BENCH_JSON) every cell also records throughput and p50/p99
-// latencies for CI regression tracking.
+// With a JSON sink (--json out.json / FLODB_BENCH_JSON) every cell also
+// records throughput and p50/p99 latencies for CI regression tracking.
 
 #ifndef FLODB_BENCH_SYSTEM_SWEEP_H_
 #define FLODB_BENCH_SYSTEM_SWEEP_H_
@@ -31,11 +28,10 @@ struct SweepSpec {
   const char* metric_name = "Mops/s";
 };
 
-// One column of the sweep: a store kind plus (for FloDB) a shard count
-// and an optional block-cache-size override (-1 = DiskOptions default).
+// One column of the sweep: a store kind plus (for FloDB) an optional
+// block-cache-size override (-1 = DiskOptions default).
 struct SweepColumn {
   StoreId id;
-  int shards = 1;
   long long cache_bytes = -1;
   std::string name;
 };
@@ -43,25 +39,17 @@ struct SweepColumn {
 inline std::vector<SweepColumn> SweepColumns(const BenchConfig& config) {
   std::vector<SweepColumn> columns;
   for (StoreId id : AllStores()) {
+    columns.push_back(SweepColumn{id, -1, StoreName(id)});
     if (id == StoreId::kFloDB) {
-      for (int shards : config.shard_counts) {
-        SweepColumn column{id, shards, -1, StoreName(id)};
-        if (shards > 1) {
-          column.name += "-" + std::to_string(shards) + "sh";
-        }
-        columns.push_back(std::move(column));
-      }
-      // FLODB_BENCH_CACHE: one extra single-shard FloDB column per listed
-      // block-cache size, so the cache lever shows up next to the default
-      // (CI pins "0" for a FloDB-nocache column in the fig10 gate).
+      // FLODB_BENCH_CACHE: one extra FloDB column per listed block-cache
+      // size, so the cache lever shows up next to the default (CI pins
+      // "0" for a FloDB-nocache column in the fig10 gate).
       for (long long cache : config.cache_bytes_list) {
-        SweepColumn column{id, 1, cache, StoreName(id)};
+        SweepColumn column{id, cache, StoreName(id)};
         column.name +=
             cache == 0 ? "-nocache" : "-cache" + std::to_string(cache >> 10) + "KB";
         columns.push_back(std::move(column));
       }
-    } else {
-      columns.push_back(SweepColumn{id, 1, -1, StoreName(id)});
     }
   }
   return columns;
@@ -85,7 +73,7 @@ inline void RunSystemSweep(const SweepSpec& spec, const BenchConfig& config) {
     std::vector<std::string> row = {std::to_string(threads)};
     for (const SweepColumn& column : columns) {
       StoreInstance instance =
-          OpenStore(column.id, config, config.memory_bytes, column.shards, column.cache_bytes);
+          OpenStore(column.id, config, config.memory_bytes, column.cache_bytes);
       switch (spec.init) {
         case InitRecipe::kFresh:
           break;
@@ -121,7 +109,6 @@ inline void RunSystemSweep(const SweepSpec& spec, const BenchConfig& config) {
         const StoreStats stats = instance->GetStats();
         report.JsonRow({{"store", column.name}},
                        {{"threads", static_cast<double>(threads)},
-                        {"shards", static_cast<double>(column.shards)},
                         {"mops", value},
                         {"read_p50_ns", static_cast<double>(result.read_p50)},
                         {"read_p99_ns", static_cast<double>(result.read_p99)},

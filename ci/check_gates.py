@@ -23,7 +23,7 @@ same run ("rows" selects them) or from a checked-in baseline document:
 
     "over": {"rows": {"mode": "inline"}, "on": []}
     "over": {"baseline": "ci/bench_baselines/BENCH_fig09.json",
-             "on": ["store", "threads", "shards"]}
+             "on": ["store", "threads"]}
 
 A gate fails when it checks no row, when a selected row lacks the
 metric, or when a ratio's denominator row is missing, zero or lacks the
@@ -45,7 +45,7 @@ TABLE = os.path.join(ROOT, "ci", "gates.json")
 OPS = {"<=": operator.le, "==": operator.eq, ">=": operator.ge, ">": operator.gt}
 
 # Columns that name a row in the figures' sweeps, for the printed label.
-ID_COLUMNS = ("store", "mode", "dist", "threads", "shards", "batch", "cache_bytes")
+ID_COLUMNS = ("store", "mode", "dist", "threads", "batch", "cache_bytes")
 
 
 def load_json(path):

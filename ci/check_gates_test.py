@@ -31,19 +31,12 @@ EXTRA = {
 # Figures with no baseline file: hand-written rows in the figure's shape.
 IN_RUN = {
     "fig_read_cached": [
-        {"store": "FloDB", "dist": dist, "threads": 2, "shards": 1,
-         "cache_bytes": cache, "mops": 0.3, "hit_rate": hit}
+        {"store": "FloDB", "dist": dist, "threads": 2, "cache_bytes": cache,
+         "mops": 0.3, "hit_rate": hit}
         for dist, cache, hit in (("zipfian", 1.04858e6, 0.2),   # below the gated size
                                  ("zipfian", 4.1943e6, 0.6),    # 4 MiB, rounded down
                                  ("zipfian", 1.67772e7, 0.8),
                                  ("uniform", 4.1943e6, 0.1))],  # only zipfian is gated
-    "fig_batch_write": [
-        {"store": store, "threads": 2, "shards": shards, "batch": batch,
-         "mops": mops, "txn_commits": commits}
-        for batch in (1, 8, 64, 512)
-        for store, shards, mops, commits in (
-            ("FloDB", 1, 1.0, 0),
-            ("FloDB-sharded-2pc", 4, 0.5 if batch == 1 else 1.0, 0 if batch == 1 else 100))],
 }
 
 
@@ -174,12 +167,6 @@ class GatesTest(unittest.TestCase):
         lines = check_gates.check_gate(gate, passing_doc("fig_read_cached"))
         self.assertEqual([status for status, _ in lines], ["ok", "ok"], lines)
         self.assertIn("cache_bytes=4.1943e+06", lines[0][1])
-
-    def test_small_batches_are_exempt_from_the_2pc_floor(self):
-        gate = TABLE["fig_batch_write"]["gates"][0]
-        lines = check_gates.check_gate(gate, passing_doc("fig_batch_write"))
-        self.assertEqual(len(lines), 2, lines)  # batch 64 and 512; 1 and 8 exempt
-        self.assertFalse(fails(lines), lines)
 
 
 if __name__ == "__main__":

@@ -1,18 +1,14 @@
-// Message queue over a sharded FloDB — the paper's motivating
-// write-heavy workload ("message queues that undergo a high number of
-// updates", §1), on the v2 batch API, scaled out across range
-// partitions (DESIGN.md §8).
+// Message queue over FloDB — the paper's motivating write-heavy workload
+// ("message queues that undergo a high number of updates", §1), on the
+// v2 batch API.
 //
 // The queue is split into kPartitions partitions (as in Kafka): each
-// message key leads with a partition tag byte chosen so the partitions
-// spread evenly over ShardedKVStore's range shards, giving every
-// partition its own Membuffer/Memtable/WAL/drain pipeline. Producers
-// round-robin partitions inside one WriteBatch per 64 messages, so a
-// single group commit fans out into one per-shard commit per touched
-// shard. The consumer drains the WHOLE queue with one range scan — the
-// k-way merged iterator interleaves the per-shard streams back into
-// global (partition, seq) key order — and acknowledges each scanned
-// batch with a single cross-shard batch of tombstones.
+// message key leads with a partition tag byte, so keys sort by
+// (partition, seq). Producers round-robin partitions inside one
+// WriteBatch per 64 messages, so each message pays a share of one batch
+// commit. The consumer drains the WHOLE queue with one range scan
+// in (partition, seq) key order and acknowledges each scanned batch with
+// a single batch of tombstones.
 
 #include <atomic>
 #include <cinttypes>
@@ -22,7 +18,7 @@
 #include <vector>
 
 #include "flodb/common/clock.h"
-#include "flodb/core/sharded_store.h"
+#include "flodb/core/flodb.h"
 #include "flodb/disk/mem_env.h"
 
 namespace {
@@ -30,8 +26,9 @@ namespace {
 constexpr int kPartitions = 4;
 
 // Partition tag byte: partitions uniformly spaced over the byte range,
-// so with shards <= kPartitions every shard owns whole partitions. A raw
-// (non-printable) byte is fine — FloDB keys are arbitrary bytes.
+// so every queue partition lands in its own Membuffer partition (the top
+// key bits pick it, §4.3) and drains into its own skiplist neighborhood.
+// A raw (non-printable) byte is fine — FloDB keys are arbitrary bytes.
 char PartitionTag(int partition) {
   return static_cast<char>((partition * 256) / kPartitions);
 }
@@ -55,12 +52,11 @@ int main() {
   MemEnv env;
   FloDbOptions options;
   options.memory_budget_bytes = 8u << 20;
-  options.shards = 4;  // one independent FloDB pipeline per keyspace quarter
   options.disk.env = &env;
   options.disk.path = "/queue";
 
-  std::unique_ptr<ShardedKVStore> db;
-  if (Status s = ShardedKVStore::Open(options, &db); !s.ok()) {
+  std::unique_ptr<FloDB> db;
+  if (Status s = FloDB::Open(options, &db); !s.ok()) {
     fprintf(stderr, "open failed: %s\n", s.ToString().c_str());
     return 1;
   }
@@ -79,8 +75,7 @@ int main() {
       WriteBatch batch;
       for (uint64_t i = 0; i < kMessagesPerProducer; ++i) {
         const uint64_t seq = next_seq.fetch_add(1);
-        // Round-robin partitions: one producer batch straddles shards and
-        // is split into one group commit per touched shard.
+        // Round-robin partitions: one producer batch spans all of them.
         const int partition = static_cast<int>(seq % kPartitions);
         const int len = snprintf(payload, sizeof(payload),
                                  "{\"producer\":%d,\"n\":%llu,\"body\":\"event-payload\"}", p,
@@ -96,9 +91,8 @@ int main() {
   }
 
   // Consumer: drains batches of 500 messages across ALL partitions while
-  // producers run. The full-range scan runs on the merged per-shard
-  // iterators; consumed messages are deleted (a cross-shard tombstone
-  // batch), so each partition's head advances naturally, and in-flight
+  // producers run. Consumed messages are deleted (one tombstone batch),
+  // so each partition's head advances naturally, and in-flight
   // messages with smaller sequence numbers (producers race on the
   // counter) are picked up by a later pass instead of being skipped.
   std::atomic<bool> producers_done{false};
@@ -121,8 +115,7 @@ int main() {
         std::this_thread::yield();
         continue;
       }
-      // Ack the whole scanned batch with one call; the splitter turns it
-      // into one atomic-recovery commit per touched shard.
+      // Ack the whole scanned batch with one call.
       WriteBatch acks;
       for (const auto& [key, payload] : batch) {
         acks.Delete(Slice(key));
@@ -139,7 +132,7 @@ int main() {
   consumer.join();
   const double elapsed = SecondsSince(start);
 
-  printf("message queue demo (%d partitions over %d shards):\n", kPartitions, db->NumShards());
+  printf("message queue demo (%d partitions):\n", kPartitions);
   printf("  produced   %llu messages with %d producers\n",
          static_cast<unsigned long long>(produced.load()), kProducers);
   printf("  consumed   %llu messages in (partition, seq) order\n",
@@ -152,22 +145,12 @@ int main() {
          stats.batch_writes > 0
              ? static_cast<double>(stats.batch_entries) / static_cast<double>(stats.batch_writes)
              : 0.0);
-  printf("  cross-shard commits: %llu (round-robin batches straddle shards by design)\n",
-         static_cast<unsigned long long>(db->CrossShardWrites()));
   printf("  membuffer absorbed %.1f%% of writes\n",
          100.0 * static_cast<double>(stats.membuffer_adds) /
              static_cast<double>(stats.membuffer_adds + stats.memtable_direct_adds));
-  // A merged scan counts once per consulted shard (DESIGN.md §8 stats
-  // accounting).
-  printf("  per-shard scans=%llu (restarts=%llu, fallbacks=%llu)\n",
+  printf("  scans=%llu (restarts=%llu, fallbacks=%llu)\n",
          static_cast<unsigned long long>(stats.scans),
          static_cast<unsigned long long>(stats.scan_restarts),
          static_cast<unsigned long long>(stats.fallback_scans));
-  for (int s = 0; s < db->NumShards(); ++s) {
-    const StoreStats shard = db->ShardStats(s);
-    printf("  shard %d: %llu writes committed in %llu per-shard group commits\n", s,
-           static_cast<unsigned long long>(shard.batch_entries),
-           static_cast<unsigned long long>(shard.batch_writes));
-  }
   return consumed.load() == produced.load() ? 0 : 1;
 }

@@ -1,21 +1,10 @@
-// Session store over a sharded FloDB — the paper's second motivating
-// workload ("maintaining session states in user-facing applications",
-// §1).
+// Session store over FloDB — the paper's second motivating workload
+// ("maintaining session states in user-facing applications", §1).
 //
 // A small set of hot sessions receives most updates (skewed 98/2). With
 // FloDB's IN-PLACE updates, the hot set stays resident in the memory
 // component instead of generating an endless stream of versions — the
-// effect behind Figure 16. Sharding adds the scale-out dimension: every
-// shard has its own Membuffer, so the hot set's update traffic spreads
-// over four independent pipelines instead of hammering one hash table.
-//
-// Two sharding knobs are at work (DESIGN.md §8):
-//  * keys keep their human-readable "session:" prefix, so
-//    shard_key_prefix_skip tells the router to ignore it (otherwise
-//    every key would land in one shard);
-//  * user ids are Fibonacci-hashed into the routing suffix — session
-//    traffic is point-get/put only, so losing range order costs nothing
-//    and the hot 2% of users spreads uniformly across shards.
+// effect behind Figure 16.
 
 #include <atomic>
 #include <cstdio>
@@ -26,20 +15,12 @@
 #include "flodb/common/clock.h"
 #include "flodb/common/key_codec.h"
 #include "flodb/common/random.h"
-#include "flodb/core/sharded_store.h"
+#include "flodb/core/flodb.h"
 #include "flodb/disk/mem_env.h"
 
 namespace {
 
-constexpr char kKeyPrefix[] = "session:";
-constexpr size_t kKeyPrefixLen = sizeof(kKeyPrefix) - 1;
-
-std::string SessionKey(uint64_t user) {
-  // Fibonacci hashing spreads consecutive user ids over the full 64-bit
-  // routing domain (point lookups never need key order).
-  const uint64_t spread = user * 0x9E3779B97F4A7C15ull;
-  return kKeyPrefix + flodb::EncodeKey(spread);
-}
+std::string SessionKey(uint64_t user) { return "session:" + flodb::EncodeKey(user); }
 
 }  // namespace
 
@@ -49,13 +30,11 @@ int main() {
   MemEnv env;
   FloDbOptions options;
   options.memory_budget_bytes = 8u << 20;
-  options.shards = 4;
-  options.shard_key_prefix_skip = kKeyPrefixLen;  // route on the hashed suffix
   options.disk.env = &env;
   options.disk.path = "/sessions";
 
-  std::unique_ptr<ShardedKVStore> db;
-  if (Status s = ShardedKVStore::Open(options, &db); !s.ok()) {
+  std::unique_ptr<FloDB> db;
+  if (Status s = FloDB::Open(options, &db); !s.ok()) {
     fprintf(stderr, "open failed: %s\n", s.ToString().c_str());
     return 1;
   }
@@ -101,8 +80,8 @@ int main() {
   const double elapsed = SecondsSince(start);
 
   const StoreStats stats = db->GetStats();
-  printf("session store demo (98%% of ops on 2%% of %llu sessions, %d shards):\n",
-         static_cast<unsigned long long>(kUsers), db->NumShards());
+  printf("session store demo (98%% of ops on 2%% of %llu sessions):\n",
+         static_cast<unsigned long long>(kUsers));
   printf("  throughput  %.0f Kops/s across %d frontend threads\n",
          static_cast<double>(reads.load() + writes.load()) / elapsed / 1000, kFrontends);
   printf("  read hit rate %.1f%%\n",
@@ -114,15 +93,6 @@ int main() {
          static_cast<unsigned long long>(stats.memtable_direct_adds));
   printf("  disk flushes: %llu (in-place updates keep the hot set in memory)\n",
          static_cast<unsigned long long>(stats.disk.flushes));
-  // Hashed routing spreads even the skewed hot set evenly.
-  const uint64_t total_ops = reads.load() + writes.load();
-  for (int s = 0; s < db->NumShards(); ++s) {
-    const StoreStats shard = db->ShardStats(s);
-    printf("  shard %d handled %.1f%% of ops\n", s,
-           total_ops ? 100.0 * static_cast<double>(shard.gets + shard.puts) /
-                           static_cast<double>(total_ops)
-                     : 0.0);
-  }
 
   // Skewed-read phase: push everything to the disk component, then
   // replay the same 98/2 read skew against it. The hot sessions' blocks

@@ -51,11 +51,6 @@ MemTable* FloDB::NewMemTable() const {
 }
 
 Status FloDB::Open(const FloDbOptions& options, std::unique_ptr<FloDB>* out) {
-  return Open(options, nullptr, out);
-}
-
-Status FloDB::Open(const FloDbOptions& options, CrossShardTxnRecovery* txn_recovery,
-                   std::unique_ptr<FloDB>* out) {
   if (options.enable_persistence &&
       (options.disk.env == nullptr || options.disk.path.empty())) {
     return Status::InvalidArgument("persistence requires disk.env and disk.path");
@@ -68,14 +63,6 @@ Status FloDB::Open(const FloDbOptions& options, CrossShardTxnRecovery* txn_recov
   }
   if (options.memory_budget_bytes == 0) {
     return Status::InvalidArgument("memory_budget_bytes must be positive");
-  }
-  if (options.shards < 1) {
-    return Status::InvalidArgument("shards must be >= 1");
-  }
-  if (options.shards > 1) {
-    // One FloDB is one shard; the range-partitioned facade lives a level
-    // above so this cannot silently ignore the requested parallelism.
-    return Status::InvalidArgument("shards > 1 requires ShardedKVStore::Open");
   }
 
   auto db = std::unique_ptr<FloDB>(new FloDB(options));
@@ -93,7 +80,7 @@ Status FloDB::Open(const FloDbOptions& options, CrossShardTxnRecovery* txn_recov
   }
 
   if (options.enable_wal) {
-    Status s = db->RecoverFromWal(txn_recovery);
+    Status s = db->RecoverFromWal();
     if (!s.ok()) {
       return s;
     }
@@ -139,57 +126,6 @@ void FloDB::WaitForMemtableHeadroom() {
   }
 }
 
-void FloDB::PendingWrite::Release() {
-  if (db == nullptr) {
-    return;
-  }
-  if (token_slot >= 0) {
-    db->wal_.ReleaseToken(token_slot);
-    token_slot = -1;
-  }
-}
-
-Status FloDB::LogBatch(const WriteOptions& options, WriteBatch* batch, uint64_t txn_id,
-                       const Slice& participants, PendingWrite* pending) {
-  pending->db = this;
-  pending->batch = batch;
-  if (!options_.enable_wal) {
-    return Status::OK();
-  }
-  // A malformed rep must fail here, not poison the WAL for the next
-  // recovery.
-  Status s = pending->batch->ForEach([](const Slice&, const Slice&, ValueType) {});
-  if (!s.ok()) {
-    return s;
-  }
-  WaitForMemtableHeadroom();
-  // One WAL record for the whole batch — the group-commit amortization,
-  // and the unit of all-or-nothing crash recovery. On success this writer
-  // holds an apply token that the persist thread's pre-swap drain waits
-  // on, until *pending is released.
-  const uint32_t count = static_cast<uint32_t>(pending->batch->Count());
-  const Slice rep(pending->batch->rep());
-  const bool prepare = txn_id != 0;
-  s = wal_.Commit(prepare ? WalRecord::Prepare(txn_id, participants, count, rep)
-                          : WalRecord::Batch(count, rep),
-                  options.sync || prepare, &pending->token_slot);
-  if (!s.ok()) {
-    // This write failed for good; kick the repair path so FUTURE writes
-    // can succeed even in configurations without drain threads (the
-    // usual healer) — e.g. enable_membuffer = false.
-    wal_.Repair();
-    return s;
-  }
-  if (options.fill_stats) {
-    // Gated like the other batch counters so the amortization ratio
-    // (batch_entries / wal_batch_records) stays coherent when a caller
-    // suppresses stats. Prepares count separately: they are transaction
-    // machinery, not user batch records.
-    (prepare ? txn_prepares_ : wal_batch_records_).fetch_add(1, std::memory_order_relaxed);
-  }
-  return Status::OK();
-}
-
 Status FloDB::Write(const WriteOptions& options, WriteBatch* batch) {
   if (batch == nullptr) {
     return Status::InvalidArgument("null write batch");
@@ -197,29 +133,36 @@ Status FloDB::Write(const WriteOptions& options, WriteBatch* batch) {
   if (batch->Empty()) {
     return Status::OK();
   }
-  PendingWrite pending;
-  Status s = LogBatch(options, batch, /*txn_id=*/0, Slice(), &pending);
-  if (!s.ok()) {
-    return s;
+  PendingWrite pending(&wal_);
+  if (options_.enable_wal) {
+    // A malformed rep must fail here, not poison the WAL for the next
+    // recovery.
+    Status s = batch->ForEach([](const Slice&, const Slice&, ValueType) {});
+    if (!s.ok()) {
+      return s;
+    }
+    WaitForMemtableHeadroom();
+    // One WAL record for the whole batch — the group-commit amortization,
+    // and the unit of all-or-nothing crash recovery. On success this
+    // writer holds an apply token that the persist thread's pre-swap
+    // drain waits on, until `pending` releases it.
+    s = wal_.Commit(WalRecord::Batch(static_cast<uint32_t>(batch->Count()), Slice(batch->rep())),
+                    options.sync, &pending.token_slot);
+    if (!s.ok()) {
+      // This write failed for good; kick the repair path so FUTURE writes
+      // can succeed even in configurations without drain threads (the
+      // usual healer) — e.g. enable_membuffer = false.
+      wal_.Repair();
+      return s;
+    }
+    if (options.fill_stats) {
+      // Gated like the other batch counters so the amortization ratio
+      // (batch_entries / wal_batch_records) stays coherent when a caller
+      // suppresses stats.
+      wal_batch_records_.fetch_add(1, std::memory_order_relaxed);
+    }
   }
-  return ApplyBatchToMemory(options, pending.batch, pending.token_slot);
-}
-
-Status FloDB::PrepareBatch(const WriteOptions& options, WriteBatch* batch, uint64_t txn_id,
-                           const Slice& participants, PendingWrite* pending) {
-  if (batch == nullptr || batch->Empty()) {
-    return Status::InvalidArgument("cross-shard prepare requires a non-empty batch");
-  }
-  if (!options_.enable_wal) {
-    return Status::InvalidArgument("cross-shard prepare requires enable_wal");
-  }
-  return LogBatch(options, batch, txn_id, participants, pending);
-}
-
-Status FloDB::ApplyPreparedBatch(const WriteOptions& options, PendingWrite* pending) {
-  Status s = ApplyBatchToMemory(options, pending->batch, pending->token_slot);
-  pending->Release();
-  return s;
+  return ApplyBatchToMemory(options, batch, pending.token_slot);
 }
 
 Status FloDB::ApplyBatchToMemory(const WriteOptions& options, WriteBatch* batch,
@@ -466,8 +409,6 @@ StoreStats FloDB::GetStats() const {
   stats.group_commit_groups = wal_.groups();
   stats.group_commit_writers = wal_.committed_writers();
   stats.persist_failures = persist_failures_.load(std::memory_order_relaxed);
-  stats.txn_prepares = txn_prepares_.load(std::memory_order_relaxed);
-  stats.orphaned_prepares = orphaned_prepares_.load(std::memory_order_relaxed);
   if (disk_ != nullptr) {
     stats.disk = disk_->GetStats();
   }

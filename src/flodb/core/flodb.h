@@ -32,7 +32,6 @@
 #ifndef FLODB_CORE_FLODB_H_
 #define FLODB_CORE_FLODB_H_
 
-#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <string>
@@ -48,24 +47,6 @@
 #include "flodb/sync/rcu.h"
 
 namespace flodb {
-
-class ShardedKVStore;
-
-// Cross-shard transaction recovery context, passed by ShardedKVStore::Open
-// to each shard's FloDB::Open for WAL replay. `committed` holds the
-// txn ids with a durable commit marker in the router's txn log; a prepare
-// record replays iff its id is in this set, otherwise it is an orphan.
-// Shards report the highest txn id seen (committed or not) back through
-// `max_txn_id_seen` so the router can restart its id counter past every
-// id ever issued. Owned by the router; shards only borrow it during Open.
-struct CrossShardTxnRecovery {
-  std::vector<uint64_t> committed;  // sorted ascending
-  uint64_t max_txn_id_seen = 0;
-
-  bool IsCommitted(uint64_t txn_id) const {
-    return std::binary_search(committed.begin(), committed.end(), txn_id);
-  }
-};
 
 class FloDB final : public KVStore {
  public:
@@ -99,16 +80,7 @@ class FloDB final : public KVStore {
   void WaitUntilDrained();
 
  private:
-  // The router drives the shard-side half of cross-shard two-phase commit
-  // (PrepareBatch / ApplyPreparedBatch / AbandonPrepare below).
-  friend class ShardedKVStore;
-
   explicit FloDB(const FloDbOptions& options);
-
-  // Opens one shard of a ShardedKVStore. With no `txn_recovery`, WAL
-  // replay treats every prepare record as orphaned.
-  static Status Open(const FloDbOptions& options, CrossShardTxnRecovery* txn_recovery,
-                     std::unique_ptr<FloDB>* out);
 
   // A batch entry decoded once per Write; slices point into the batch rep.
   struct BatchEntryRef {
@@ -186,33 +158,23 @@ class FloDB final : public KVStore {
 
   // ---- durability pipeline (DESIGN.md §10) ----
 
-  // A batch between the commit front half (LogBatch) and memory: the
-  // batch as logged and its WAL apply token. Destruction releases the
-  // token, so a write that fails or is abandoned after its commit cannot
-  // wedge the persist thread's pre-swap drain.
+  // A committed write's WAL apply token. Destruction releases it, so a
+  // write that fails after its commit cannot wedge the persist thread's
+  // pre-swap drain.
   struct PendingWrite {
-    PendingWrite() = default;
+    explicit PendingWrite(GroupCommitLog* log) : wal(log) {}
     PendingWrite(const PendingWrite&) = delete;
     PendingWrite& operator=(const PendingWrite&) = delete;
-    ~PendingWrite() { Release(); }
-    // Releases the apply token; idempotent.
-    void Release();
+    ~PendingWrite() {
+      if (token_slot >= 0) {
+        wal->ReleaseToken(token_slot);
+      }
+    }
 
-    FloDB* db = nullptr;
-    WriteBatch* batch = nullptr;
+    GroupCommitLog* const wal;
     // -1: no token held.
     int token_slot = -1;
   };
-
-  // The commit front half shared by Write and PrepareBatch: validates the
-  // rep (a malformed batch must fail here, not poison the WAL for the
-  // next recovery), waits for Memtable headroom and commits one WAL
-  // record through the group-commit queue. With txn_id != 0 the record is
-  // a cross-shard PREPARE carrying the participant set, and it always
-  // syncs: the router's commit marker must never be durable ahead of a
-  // participant's prepare. Without a WAL it does nothing.
-  Status LogBatch(const WriteOptions& options, WriteBatch* batch, uint64_t txn_id,
-                  const Slice& participants, PendingWrite* pending);
 
   // Blocks while the Memtable is at its hard cap (2x target). Must run
   // BEFORE the WAL commit: a writer holding an apply token must not block
@@ -224,22 +186,7 @@ class FloDB final : public KVStore {
   // token (token_slot >= 0); the caller releases the token afterwards.
   Status ApplyBatchToMemory(const WriteOptions& options, WriteBatch* batch, int token_slot);
 
-  // ---- cross-shard two-phase commit hooks (ShardedKVStore only) ----
-
-  // Phase 1: durably logs this shard's slice of cross-shard transaction
-  // `txn_id` as a prepare record WITHOUT applying it to memory. On OK
-  // *pending holds the apply token until exactly one
-  // of ApplyPreparedBatch / AbandonPrepare.
-  Status PrepareBatch(const WriteOptions& options, WriteBatch* batch, uint64_t txn_id,
-                      const Slice& participants, PendingWrite* pending);
-  // Phase 3: applies a prepared batch to memory and releases *pending.
-  Status ApplyPreparedBatch(const WriteOptions& options, PendingWrite* pending);
-  // Abort: releases *pending without applying. The prepare record stays
-  // in the WAL as an orphan; with no commit marker it is discarded by
-  // recovery, so the data is never visible.
-  void AbandonPrepare(PendingWrite* pending) { pending->Release(); }
-
-  Status RecoverFromWal(CrossShardTxnRecovery* txn_recovery);
+  Status RecoverFromWal();
   std::string WalFileName(uint64_t number) const;
 
   const FloDbOptions options_;
@@ -323,7 +270,6 @@ class FloDB final : public KVStore {
   mutable std::atomic<uint64_t> master_scans_{0}, piggyback_scans_{0};
   mutable std::atomic<uint64_t> membuffer_rotations_{0};
   mutable std::atomic<uint64_t> persist_failures_{0};
-  mutable std::atomic<uint64_t> txn_prepares_{0}, orphaned_prepares_{0};
 };
 
 }  // namespace flodb

@@ -371,7 +371,7 @@ std::string FloDB::WalFileName(uint64_t number) const {
   return options_.disk.path + buf;
 }
 
-Status FloDB::RecoverFromWal(CrossShardTxnRecovery* txn_recovery) {
+Status FloDB::RecoverFromWal() {
   Env* env = options_.disk.env;
   env->CreateDir(options_.disk.path);
 
@@ -395,31 +395,13 @@ Status FloDB::RecoverFromWal(CrossShardTxnRecovery* txn_recovery) {
       return s;
     }
     WalReader reader(std::move(file));
-    s = reader.ReplayUpdates(
-        [&](const Slice& key, const Slice& value, ValueType type) {
-          const uint64_t seq = global_seq_.fetch_add(1, std::memory_order_relaxed);
-          mtb->Add(key, value, seq, type);
-          ++replayed;
-        },
-        [&](uint64_t txn_id, const std::vector<uint32_t>& /*participants*/,
-            uint32_t /*count*/, const Slice& /*entries*/) {
-          // Prepare records replay (at their WAL position) only when the
-          // router vouches for a durable commit marker. A missing marker
-          // means the transaction was never acknowledged: the prepare is
-          // an orphan and is discarded whole. A marker whose prepare is
-          // MISSING here is also fine — that shard slice already
-          // persisted to the disk component and its log was deleted.
-          if (txn_recovery != nullptr && txn_id > txn_recovery->max_txn_id_seen) {
-            txn_recovery->max_txn_id_seen = txn_id;
-          }
-          const bool committed = txn_recovery != nullptr && txn_recovery->IsCommitted(txn_id);
-          if (!committed) {
-            orphaned_prepares_.fetch_add(1, std::memory_order_relaxed);
-          }
-          return committed;
-        });
+    s = reader.ReplayUpdates([&](const Slice& key, const Slice& value, ValueType type) {
+      const uint64_t seq = global_seq_.fetch_add(1, std::memory_order_relaxed);
+      mtb->Add(key, value, seq, type);
+      ++replayed;
+    });
     if (!s.ok()) {
-      return s;  // mid-log corruption: refuse to open on damaged state
+      return s;  // corrupt or retired records: refuse to open on them
     }
   }
 

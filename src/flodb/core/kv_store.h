@@ -53,12 +53,6 @@ struct StoreStats {
   uint64_t group_commit_writers = 0;  // writers committed across those rounds
   uint64_t persist_failures = 0;      // failed Memtable->disk persist attempts
 
-  // Cross-shard transactions (DESIGN.md §8; zero for unsharded stores).
-  uint64_t txn_prepares = 0;       // prepare records durably logged (per shard)
-  uint64_t txn_commits = 0;        // cross-shard batches fully committed
-  uint64_t txn_aborts = 0;         // cross-shard batches aborted, nothing visible
-  uint64_t orphaned_prepares = 0;  // prepares discarded during recovery (no marker)
-
   // FloDB-specific (zero for baselines).
   uint64_t membuffer_adds = 0;      // updates completed in the Membuffer
   uint64_t memtable_direct_adds = 0;  // updates that spilled to the Memtable
@@ -231,7 +225,7 @@ class KVStore {
   // [begin, end] (empty Slice = open end) down to the bottommost
   // occupied level. Stores without a disk component treat this as a
   // no-op. FloDB flushes memory first so the whole range is subject to
-  // the compaction; ShardedKVStore fans out to every shard.
+  // the compaction.
   virtual Status CompactRange(const Slice& /*begin*/, const Slice& /*end*/) {
     return Status::OK();
   }

@@ -51,32 +51,6 @@ struct FloDbOptions {
   // Off by default like the paper's benchmarks.
   bool enable_wal = false;
 
-  // Range-partitioning across independent FloDB instances
-  // (ShardedKVStore::Open; DESIGN.md §8). 1 (the default) is exactly
-  // today's single-instance behavior. Values < 1 are rejected; a
-  // non-power-of-two count rounds UP to the next power of two (the
-  // requested parallelism is a floor), capped at 256. Each shard gets
-  // memory_budget_bytes / shards, a subdirectory of disk.path, its own
-  // WAL, its own drain thread, and a slice of the compaction thread
-  // budget (floor of one thread per shard). FloDB::Open itself only
-  // accepts shards == 1; open a sharded store through
-  // ShardedKVStore::Open.
-  //
-  // A WriteBatch that straddles shards commits via two-phase commit:
-  // every touched shard durably logs a prepare record, the router fsyncs
-  // a commit marker into its txn log, and only then does the batch
-  // become visible — recovery replays it all-or-nothing. Merged scans
-  // open all shard cursors under a router-level write fence, so a
-  // snapshot never observes half of a cross-shard batch. Single-shard
-  // batches and Put/Delete never pay the 2PC cost.
-  int shards = 1;
-
-  // Leading key bytes ignored by the shard router — for key schemas with
-  // a constant prefix ("session:...") that would otherwise collapse every
-  // key into one shard. 0 keeps routing order-preserving, which lets
-  // range scans prune to the shards intersecting their bounds.
-  size_t shard_key_prefix_skip = 0;
-
   DiskOptions disk;
 };
 

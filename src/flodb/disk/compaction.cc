@@ -102,33 +102,6 @@ bool CompactionPicker::Pick(const Version& v, const std::vector<bool>& level_bus
   return true;
 }
 
-CompactionThreadLimiter::CompactionThreadLimiter(int max_concurrent)
-    : max_(std::max(1, max_concurrent)) {}
-
-void CompactionThreadLimiter::Acquire() {
-  MutexLock lock(mu_);
-  // Explicit loop: the predicate reads guarded state (in_use_), so it
-  // must run in this annotated scope rather than inside a lambda.
-  while (in_use_ >= max_) {
-    cv_.Wait(mu_);
-  }
-  ++in_use_;
-}
-
-void CompactionThreadLimiter::Release() {
-  {
-    MutexLock lock(mu_);
-    assert(in_use_ > 0);
-    --in_use_;
-  }
-  cv_.Signal();
-}
-
-int CompactionThreadLimiter::InUse() const {
-  MutexLock lock(mu_);
-  return in_use_;
-}
-
 int BloomBitsForLevel(int level) {
   if (level <= 1) {
     return 12;

@@ -1,14 +1,11 @@
 // Compaction policy for the leveled disk component, split out from the
 // scheduler so picking is unit-testable without threads or table files.
 //
-// Three pieces:
+// Two pieces:
 //  * CompactionPicker — score-based level selection (RocksDB style): each
 //    level scores size-over-target (L0 scores file-count-over-trigger)
 //    and the eligible level with the highest score >= 1.0 compacts into
 //    the level below, round-robining across its key space;
-//  * CompactionThreadLimiter — a counting semaphore shared across shards
-//    so the total number of RUNNING compactions is bounded by the
-//    configured thread budget even when every shard keeps its own worker;
 //  * BloomBitsForLevel — per-level filter sizing (hot upper levels get
 //    more bits per key, cold bottom levels fewer — FlashMap's tuned
 //    per-level filters).
@@ -20,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "flodb/common/synchronization.h"
 #include "flodb/disk/version.h"
 
 namespace flodb {
@@ -65,28 +61,6 @@ class CompactionPicker {
  private:
   const CompactionConfig config_;
   std::vector<std::string> cursor_;  // round-robin largest-key per level
-};
-
-// Counting semaphore bounding concurrently RUNNING compactions across
-// DiskComponent instances (one per shard). Each shard keeps at least one
-// worker thread so it can always make progress once it holds a slot;
-// workers block in Acquire before doing I/O, so the global I/O
-// parallelism never exceeds the configured budget.
-class CompactionThreadLimiter {
- public:
-  explicit CompactionThreadLimiter(int max_concurrent);
-
-  void Acquire() EXCLUDES(mu_);
-  void Release() EXCLUDES(mu_);
-
-  int max_concurrent() const { return max_; }
-  int InUse() const EXCLUDES(mu_);
-
- private:
-  const int max_;
-  mutable Mutex mu_;
-  CondVar cv_;
-  int in_use_ GUARDED_BY(mu_) = 0;
 };
 
 // Bloom bits per key for a level: 12 for L0/L1 (every point read probes

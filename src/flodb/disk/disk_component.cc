@@ -72,13 +72,15 @@ Status DiskComponent::Open(const DiskOptions& options, std::unique_ptr<DiskCompo
     // turns off block caching.
     return Status::InvalidArgument("table_cache_entries must be >= 1");
   }
-  // One listing serves two checks. Older builds could move large values
+  // One listing serves three checks. Older builds could move large values
   // into *.vlog files (value separation); this build reads values inline
   // only, so opening such a directory would silently lose every separated
-  // value. And a crash mid-compaction leaves orphan outputs (.sst files
-  // never installed in a version) numbered above the recovered counter;
-  // the bump below moves them under the GC barrier so the sweep can
-  // touch them.
+  // value. Older builds could also split a store over shard subdirectories
+  // behind a SHARDING manifest and a txn.log; opening the parent directory
+  // as one store would silently read none of it. And a crash
+  // mid-compaction leaves orphan outputs (.sst files never installed in a
+  // version) numbered above the recovered counter; the bump below moves
+  // them under the GC barrier so the sweep can touch them.
   uint64_t max_sst_number = 0;
   {
     std::vector<std::string> children;
@@ -87,6 +89,11 @@ Status DiskComponent::Open(const DiskOptions& options, std::unique_ptr<DiskCompo
         if (name.size() >= 5 && name.substr(name.size() - 5) == ".vlog") {
           return Status::NotSupported("found " + name +
                                       ": directories written with value separation are not "
+                                      "supported");
+        }
+        if (name == "SHARDING" || name == "txn.log") {
+          return Status::NotSupported("found " + name +
+                                      ": directories written by the sharded store are not "
                                       "supported");
         }
         if (name.size() >= 5 && name.substr(name.size() - 4) == ".sst") {
@@ -578,16 +585,7 @@ void DiskComponent::BackgroundWork() {
     }
     ++active_compactions_;
     mu_.unlock();
-    // The cross-shard bound is taken OUTSIDE mu_ (blocking with the
-    // scheduling lock held would freeze AddRun's stall check) and only
-    // around the I/O: picking is cheap, merging is not.
-    if (options_.compaction_limiter != nullptr) {
-      options_.compaction_limiter->Acquire();
-    }
     Status s = DoCompaction(job);
-    if (options_.compaction_limiter != nullptr) {
-      options_.compaction_limiter->Release();
-    }
     if (!s.ok()) {
       fprintf(stderr, "flodb: compaction failed: %s\n", s.ToString().c_str());
       // Back off: a transient I/O failure retries; a persistent one must

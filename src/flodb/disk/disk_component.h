@@ -54,20 +54,15 @@ struct DiskOptions {
   int level_size_multiplier = 10;
 
   int compaction_threads = 1;      // 0 disables background compaction
-
-  // Optional shared bound on concurrently RUNNING compactions across
-  // DiskComponent instances. ShardedKVStore installs one sized to the
-  // pre-split compaction_threads total, so 8 shards with a budget of 2
-  // still run at most 2 compactions at once even though every shard
-  // keeps its own worker thread. Null = no cross-instance bound.
-  std::shared_ptr<CompactionThreadLimiter> compaction_limiter;
 };
 
 class DiskComponent {
  public:
-  // Fails with NotSupported on a directory an older build wrote with
-  // value separation on (it holds *.vlog files, or its MANIFEST carries a
-  // value-log section): those values are not stored inline.
+  // Fails with NotSupported, before creating any file, on a directory an
+  // older build wrote with value separation on (it holds *.vlog files, or
+  // its MANIFEST carries a value-log section: those values are not stored
+  // inline) or with the sharded store (it holds SHARDING or txn.log: its
+  // data lives in shard subdirectories).
   static Status Open(const DiskOptions& options, std::unique_ptr<DiskComponent>* out);
   ~DiskComponent();
 

@@ -76,8 +76,8 @@ class FaultInjectionEnv final : public Env {
   // prefix of its data first when `torn` — and every later append fails
   // too until ClearFaults(). With a non-empty `substr`, only appends to
   // files whose path contains it count toward `n` or fail (other files
-  // keep working) — the knob behind the cross-shard crash matrix, which
-  // must hit ONE shard's WAL or just the router's txn log.
+  // keep working), so a test can fail one file kind (".sst", "MANIFEST")
+  // and leave the rest of the store running.
   void FailAppendAfter(uint64_t n, bool torn, const std::string& substr = std::string());
 
   // When enabled, every Sync fails (and durability bookkeeping freezes).

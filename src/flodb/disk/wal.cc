@@ -15,16 +15,7 @@ constexpr size_t kHeaderSize = 8;  // fixed32 masked_crc | fixed32 length
 
 Status WalWriter::Add(const WalRecord& record) {
   scratch_.assign(kHeaderSize, '\0');
-  scratch_.push_back(static_cast<char>(record.tag));
-  if (record.tag != kWalBatchRecordTag) {
-    PutVarint64(&scratch_, record.txn_id);
-  }
-  if (record.tag == kTxnCommitRecordTag) {
-    return Emit(Slice());
-  }
-  if (record.tag == kWalPrepareRecordTag) {
-    scratch_.append(record.participants.data(), record.participants.size());
-  }
+  scratch_.push_back(static_cast<char>(kWalBatchRecordTag));
   PutVarint32(&scratch_, record.count);
   return Emit(record.entries);
 }
@@ -274,57 +265,30 @@ bool WalReader::ReadRecord(std::string* payload) {
 }
 
 Status WalReader::ReplayUpdates(
-    const std::function<void(const Slice& key, const Slice& value, ValueType type)>& fn,
-    const PrepareFn& prepare_fn) {
+    const std::function<void(const Slice& key, const Slice& value, ValueType type)>& fn) {
   std::string payload;
-  std::vector<uint32_t> participants;
   while (ReadRecord(&payload)) {
     Slice in(payload);
     if (in.empty()) {
       return Status::Corruption("empty WAL record");
     }
-    // One decoder for both record kinds: a batch body is exactly
-    // WriteBatch::rep(), and a prepare record wraps a rep in a txn header.
-    if (static_cast<uint8_t>(in[0]) == kWalBatchRecordTag) {
-      in.remove_prefix(1);
-      uint32_t count = 0;
-      if (!GetVarint32(&in, &count)) {
-        return Status::Corruption("malformed WAL batch header");
-      }
-      Status s = WriteBatch::IterateRep(in, count, fn);
-      if (!s.ok()) {
-        return Status::Corruption("malformed WAL batch record");
-      }
-    } else if (static_cast<uint8_t>(in[0]) == kWalPrepareRecordTag) {
-      in.remove_prefix(1);
-      uint64_t txn_id = 0;
-      uint32_t nshards = 0;
-      if (!GetVarint64(&in, &txn_id) || !GetVarint32(&in, &nshards) || nshards > (1u << 16)) {
-        return Status::Corruption("malformed WAL prepare header");
-      }
-      participants.clear();
-      participants.reserve(nshards);
-      for (uint32_t i = 0; i < nshards; ++i) {
-        uint32_t shard = 0;
-        if (!GetVarint32(&in, &shard)) {
-          return Status::Corruption("malformed WAL prepare participant list");
-        }
-        participants.push_back(shard);
-      }
-      uint32_t count = 0;
-      if (!GetVarint32(&in, &count)) {
-        return Status::Corruption("malformed WAL prepare header");
-      }
-      // Replay only when the caller vouches for a durable commit marker;
-      // an orphaned prepare (no marker) is discarded whole.
-      if (prepare_fn && prepare_fn(txn_id, participants, count, in)) {
-        Status s = WriteBatch::IterateRep(in, count, fn);
-        if (!s.ok()) {
-          return Status::Corruption("malformed WAL prepare record");
-        }
-      }
-    } else {
+    const uint8_t tag = static_cast<uint8_t>(in[0]);
+    if (tag == kWalPrepareRecordTag) {
+      return Status::NotSupported(
+          "WAL holds a cross-shard prepare record: logs written by a sharded store are not "
+          "supported");
+    }
+    if (tag != kWalBatchRecordTag) {
       return Status::Corruption("unknown WAL record tag");
+    }
+    in.remove_prefix(1);
+    uint32_t count = 0;
+    if (!GetVarint32(&in, &count)) {
+      return Status::Corruption("malformed WAL batch header");
+    }
+    Status s = WriteBatch::IterateRep(in, count, fn);
+    if (!s.ok()) {
+      return Status::Corruption("malformed WAL batch record");
     }
   }
   return status_;

@@ -4,29 +4,15 @@
 // being applied to the in-memory component").
 //
 // Record framing: fixed32 masked_crc | fixed32 length | payload.
-// Two payload kinds, distinguished by the first byte (any other tag is
-// Corruption):
-//
-//   batch record (tag == kWalBatchRecordTag), one per KVStore::Write —
-//   the group-commit unit; its body is exactly WriteBatch::rep():
-//     uint8 2 | varint32 count | count × (uint8 type | klen | key | vlen | value)
-//
-//   prepare record (tag == kWalPrepareRecordTag), one per shard touched by
-//   a cross-shard transaction — phase 1 of the router's two-phase commit.
-//   Carries the transaction id and the participant shard set so recovery
-//   can match it against the router's commit-marker log:
-//     uint8 3 | varint64 txn_id | varint32 nshards | nshards × varint32 shard
-//            | varint32 count | count × (uint8 type | klen | key | vlen | value)
-//
-// The router's txn log reuses the framing for its commit markers
-// (kTxnCommitRecordTag, below).
+// One payload kind, the batch record (tag == kWalBatchRecordTag), one per
+// KVStore::Write — the group-commit unit; its body is exactly
+// WriteBatch::rep():
+//   uint8 2 | varint32 count | count × (uint8 type | klen | key | vlen | value)
 //
 // Because the CRC covers the whole payload, a batch is durability-atomic:
-// recovery replays it entirely or not at all. A prepare record is only
-// replayed when the caller confirms its transaction committed (a durable
-// commit marker exists); otherwise it is an orphan and is skipped. The
-// reader stops cleanly at a truncated/corrupt tail (normal crash outcome)
-// and reports genuine mid-log corruption as an error.
+// recovery replays it entirely or not at all. The reader stops cleanly at
+// a truncated/corrupt tail (normal crash outcome) and reports genuine
+// mid-log corruption as an error.
 
 #ifndef FLODB_DISK_WAL_H_
 #define FLODB_DISK_WAL_H_
@@ -50,34 +36,19 @@ namespace flodb {
 // retired single-update record; replay rejects them as unknown.
 inline constexpr uint8_t kWalBatchRecordTag = 2;
 
-// First payload byte of a cross-shard transaction prepare record.
+// First payload byte of a cross-shard prepare record, written by a retired
+// sharded store. Replay refuses it with NotSupported: its entries are
+// visible only with a commit marker this build cannot read.
 inline constexpr uint8_t kWalPrepareRecordTag = 3;
 
-// First payload byte of a commit marker in the router's txn log (a log of
-// its own, never mixed with WAL records): uint8 1 | varint64 txn_id.
-inline constexpr uint8_t kTxnCommitRecordTag = 1;
-
-// One record as a writer appends it; the slices point into the caller's
-// frame, which must outlive the append. A batch uses count and entries
-// (WriteBatch::rep() form), a prepare adds txn_id and participants, and a
-// commit marker uses txn_id alone.
+// One batch record as a writer appends it; `entries` points into the
+// caller's WriteBatch::rep(), which must outlive the append.
 struct WalRecord {
-  uint8_t tag = kWalBatchRecordTag;
-  uint64_t txn_id = 0;
-  Slice participants;
   uint32_t count = 0;
   Slice entries;
 
   static WalRecord Batch(uint32_t count, const Slice& entries) {
-    return WalRecord{kWalBatchRecordTag, 0, Slice(), count, entries};
-  }
-  // `participants` is pre-encoded once and shared by every shard's record.
-  static WalRecord Prepare(uint64_t txn_id, const Slice& participants, uint32_t count,
-                           const Slice& entries) {
-    return WalRecord{kWalPrepareRecordTag, txn_id, participants, count, entries};
-  }
-  static WalRecord TxnCommit(uint64_t txn_id) {
-    return WalRecord{kTxnCommitRecordTag, txn_id, Slice(), 0, Slice()};
+    return WalRecord{count, entries};
   }
 };
 
@@ -107,8 +78,7 @@ class WalWriter {
   std::string scratch_;
 };
 
-// The group-commit queue behind every log in the store: FloDB's WAL and
-// the sharded router's txn log each hold one (DESIGN.md §10). It is the
+// The group-commit queue behind FloDB's WAL (DESIGN.md §10). It is the
 // LevelDB writer queue. Every Commit queues its record and the queue's
 // front is the LEADER: it appends the record of every queued writer with
 // the lock dropped, so followers keep queueing behind a slow fsync and
@@ -231,22 +201,12 @@ class WalReader {
   // tail, which is expected after a crash).
   Status status() const { return status_; }
 
-  // Decides the fate of a prepare record met during replay: receives the
-  // txn id, the decoded participant shard set and this shard's entry
-  // payload; returns true to replay the entries (the transaction has a
-  // durable commit marker) or false to skip them (orphaned prepare).
-  using PrepareFn = std::function<bool(uint64_t txn_id,
-                                       const std::vector<uint32_t>& participants, uint32_t count,
-                                       const Slice& entries)>;
-
   // Replays every well-formed update through fn, expanding batch records
   // in order. A truncated tail record is dropped whole — a half-written
-  // batch never partially replays. Prepare records are offered to
-  // prepare_fn (at their log position, preserving WAL order); with no
-  // prepare_fn they are conservatively skipped as orphans.
+  // batch never partially replays. A prepare record fails the replay
+  // with NotSupported.
   Status ReplayUpdates(
-      const std::function<void(const Slice& key, const Slice& value, ValueType type)>& fn,
-      const PrepareFn& prepare_fn = nullptr);
+      const std::function<void(const Slice& key, const Slice& value, ValueType type)>& fn);
 
  private:
   std::unique_ptr<SequentialFile> file_;

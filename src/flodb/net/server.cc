@@ -644,7 +644,6 @@ std::string Server::BuildInfoReply() const {
   line("membuffer_adds", store.membuffer_adds);
   line("memtable_direct_adds", store.memtable_direct_adds);
   line("membuffer_rotations", store.membuffer_rotations);
-  line("txn_commits", store.txn_commits);
   line("block_cache_hits", store.disk.block_cache_hits);
   line("block_cache_misses", store.disk.block_cache_misses);
   return info;

@@ -1,27 +1,24 @@
-// Leveled compaction: score-based picking, per-level bloom sizing, the
-// cross-shard thread limiter, level invariants under churn, bounded
-// space-amp, the FaultInjectionEnv crash matrix (torn compaction output,
-// failed MANIFEST append, torn CURRENT update, manifest numbering across
-// reopen), and reopen equivalence.
+// Leveled compaction: score-based picking, per-level bloom sizing, level
+// invariants under churn, bounded space-amp, the FaultInjectionEnv crash
+// matrix (torn compaction output, failed MANIFEST append, torn CURRENT
+// update, manifest numbering across reopen), and reopen equivalence.
 
 #include "flodb/disk/compaction.h"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
-#include <thread>
 #include <tuple>
 #include <vector>
 
 #include "flodb/common/key_codec.h"
+#include "flodb/core/flodb.h"
 #include "flodb/core/memtable_iterator.h"
-#include "flodb/core/sharded_store.h"
 #include "flodb/disk/disk_component.h"
 #include "flodb/disk/fault_env.h"
 #include "flodb/disk/mem_env.h"
@@ -162,33 +159,6 @@ TEST(BloomBitsTest, FixedLadder) {
   for (int level = 0; level < 7; ++level) {
     EXPECT_EQ(BloomBitsForLevel(level), expected[level]) << "level " << level;
   }
-}
-
-TEST(CompactionThreadLimiterTest, BoundsConcurrency) {
-  CompactionThreadLimiter limiter(2);
-  std::atomic<int> running{0};
-  std::atomic<int> max_seen{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < 50; ++i) {
-        limiter.Acquire();
-        const int now = running.fetch_add(1) + 1;
-        int prev = max_seen.load();
-        while (now > prev && !max_seen.compare_exchange_weak(prev, now)) {
-        }
-        std::this_thread::yield();
-        running.fetch_sub(1);
-        limiter.Release();
-      }
-    });
-  }
-  for (std::thread& t : threads) {
-    t.join();
-  }
-  EXPECT_LE(max_seen.load(), 2);
-  EXPECT_GE(max_seen.load(), 1);
-  EXPECT_EQ(limiter.InUse(), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -592,40 +562,31 @@ TEST_F(CompactionTest, StaleManifestsSweptAtOpen) {
   EXPECT_EQ(value, "r10");
 }
 
-// ---------------------------------------------------------------------------
-// Cross-shard compaction bound
-// ---------------------------------------------------------------------------
-
-TEST(ShardedCompactionTest, SharedLimiterBoundsCompactionsAcrossShards) {
+// KVStore::CompactRange on FloDB flushes memory first, so the whole
+// range — Membuffer and Memtable entries included — ends below L0.
+TEST(CompactRangeApiTest, FloDbFlushesMemoryThenCompactsBelowL0) {
   MemEnv env;
   FloDbOptions options;
-  options.memory_budget_bytes = 4u << 20;
-  options.shards = 4;
+  options.memory_budget_bytes = 512 << 10;
   options.disk.env = &env;
   options.disk.path = "/db";
-  options.disk.sstable_target_bytes = 16 << 10;
-  options.disk.l0_compaction_trigger = 2;
-  options.disk.l1_max_bytes = 32 << 10;
-  // Budget of 2 for 4 shards: each shard keeps a worker (floor of one),
-  // the shared limiter keeps concurrent merges at <= 2. The observable
-  // contract here: heavy churn completes without deadlock and every
-  // write survives the compactions.
-  options.disk.compaction_threads = 2;
-  std::unique_ptr<ShardedKVStore> store;
-  ASSERT_TRUE(ShardedKVStore::Open(options, &store).ok());
-  const uint64_t quarter = uint64_t{1} << 62;
-  for (int round = 0; round < 4; ++round) {
-    for (uint64_t i = 0; i < 2000; ++i) {
-      // Spread across all 4 shards via the top key bits.
-      const uint64_t key = (i % 4) * quarter + i;
-      ASSERT_TRUE(
-          store->Put(Slice(EncodeKey(key)), Slice("r" + std::to_string(round))).ok());
-    }
+  options.disk.sstable_target_bytes = 32 << 10;
+  std::unique_ptr<FloDB> db;
+  ASSERT_TRUE(FloDB::Open(options, &db).ok());
+  auto value_of = [](uint64_t i) { return "k" + std::to_string(i) + "-" + std::string(400, 'v'); };
+  for (uint64_t i = 0; i < 256; ++i) {
+    ASSERT_TRUE(db->Put(Slice(EncodeKey(i * 1315423911u)), Slice(value_of(i))).ok());
   }
-  ASSERT_TRUE(store->FlushAll().ok());
-  std::string value;
-  ASSERT_TRUE(store->Get(Slice(EncodeKey(3 * quarter + 7)), &value).ok());
-  EXPECT_EQ(value, "r3");
+  ASSERT_TRUE(db->CompactRange(Slice(), Slice()).ok());
+  const StoreStats stats = db->GetStats();
+  EXPECT_EQ(stats.disk.files_per_level[0], 0);
+  EXPECT_GT(stats.disk.compactions, 0u);
+  EXPECT_EQ(db->MembufferLiveEntries(), 0u);
+  for (uint64_t i = 0; i < 256; ++i) {
+    std::string value;
+    ASSERT_TRUE(db->Get(Slice(EncodeKey(i * 1315423911u)), &value).ok());
+    EXPECT_EQ(value, value_of(i));
+  }
 }
 
 }  // namespace

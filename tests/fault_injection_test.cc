@@ -4,12 +4,6 @@
 // dropped unsynced data, torn WAL tails, failed WAL rotations, failed
 // fsyncs and failed Memtable persists. sync=false writes may lose their
 // unsynced tail (and one test shows they do).
-//
-// The second half is the CROSS-SHARD crash matrix: two-phase commit over
-// ShardedKVStore must make every acknowledged straddling batch
-// all-or-nothing across every kill point — between prepares and the
-// commit marker, after the marker before the apply, and mid-prepare with
-// a torn tail.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +16,6 @@
 #include "flodb/bench_util/workload.h"
 #include "flodb/common/key_codec.h"
 #include "flodb/core/flodb.h"
-#include "flodb/core/sharded_store.h"
 #include "flodb/disk/fault_env.h"
 #include "flodb/disk/mem_env.h"
 
@@ -57,10 +50,8 @@ int CountWalFiles(Env* env) {
 
 // Simulates power loss: the destructor's courtesy fsync must not rescue
 // unsynced data, so syncs are failed before teardown, then everything
-// past the last REAL sync is dropped. Works for a plain FloDB and for a
-// ShardedKVStore (whose teardown also tries to fsync the txn log).
-template <typename Store>
-void CrashAndDrop(std::unique_ptr<Store>* db, FaultInjectionEnv* fault) {
+// past the last REAL sync is dropped.
+void CrashAndDrop(std::unique_ptr<FloDB>* db, FaultInjectionEnv* fault) {
   fault->FailSyncs(true);
   db->reset();
   fault->FailSyncs(false);
@@ -389,200 +380,6 @@ TEST(FaultInjectionTest, ConcurrentSyncWritersAllSurviveCrash) {
           << "acked group-commit write lost: thread " << t << " op " << i;
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Cross-shard crash matrix (DESIGN.md §8)
-// ---------------------------------------------------------------------------
-
-// With 4 shards the router takes the top 2 bits of the first 8 key
-// bytes, so quarter q of the keyspace is exactly shard q.
-std::string QK(int shard, uint64_t i) {
-  return EncodeKey(static_cast<uint64_t>(shard) * (uint64_t{1} << 62) + i);
-}
-
-FloDbOptions ShardedFaultOptions(Env* env) {
-  FloDbOptions options;
-  options.memory_budget_bytes = 2u << 20;
-  options.enable_wal = true;
-  options.shards = 4;
-  options.disk.env = env;
-  options.disk.path = "/db";
-  options.disk.sstable_target_bytes = 32 << 10;
-  return options;
-}
-
-// Kill point "after the marker, before/during the apply" collapses to
-// "crash right after the ack" (the ack follows the marker): every
-// acknowledged sync batch must recover WHOLE from prepares + markers
-// alone, since nothing applied has persisted yet.
-TEST(CrossShardFaultTest, AckedSyncBatchesSurviveCrashWhole) {
-  MemEnv base;
-  FaultInjectionEnv fault(&base);
-  FloDbOptions options = ShardedFaultOptions(&fault);
-  constexpr uint64_t kBatches = 25;
-  {
-    std::unique_ptr<ShardedKVStore> store;
-    ASSERT_TRUE(ShardedKVStore::Open(options, &store).ok());
-    WriteOptions synced;
-    synced.sync = true;
-    for (uint64_t b = 0; b < kBatches; ++b) {
-      WriteBatch batch;
-      for (int q = 0; q < 4; ++q) {
-        batch.Put(Slice(QK(q, b)), Slice("txn-" + std::to_string(b)));
-      }
-      ASSERT_TRUE(store->Write(synced, &batch).ok()) << b;
-    }
-    const StoreStats stats = store->GetStats();
-    EXPECT_EQ(stats.txn_commits, kBatches);
-    EXPECT_EQ(stats.txn_prepares, kBatches * 4) << "one prepare per touched shard";
-    EXPECT_EQ(stats.txn_aborts, 0u);
-    CrashAndDrop(&store, &fault);
-  }
-  std::unique_ptr<ShardedKVStore> store;
-  ASSERT_TRUE(ShardedKVStore::Open(options, &store).ok());
-  std::string value;
-  for (uint64_t b = 0; b < kBatches; ++b) {
-    for (int q = 0; q < 4; ++q) {
-      ASSERT_TRUE(store->Get(Slice(QK(q, b)), &value).ok())
-          << "acked cross-shard batch " << b << " lost its shard-" << q << " slice";
-      EXPECT_EQ(value, "txn-" + std::to_string(b));
-    }
-  }
-  EXPECT_EQ(store->GetStats().orphaned_prepares, 0u);
-}
-
-// A sync=false straddling batch, then one shard's WAL gets fsynced by an
-// unrelated sync write, then power loss. Independent per-shard commits
-// would recover the synced shard's slice and lose the other — a torn
-// batch. Here the marker never became durable, so both durable prepares
-// are orphans and the batch vanishes whole.
-TEST(CrossShardFaultTest, CrashWithOneShardSyncedOrphansUnmarkedPrepares) {
-  MemEnv base;
-  FaultInjectionEnv fault(&base);
-  FloDbOptions options = ShardedFaultOptions(&fault);
-  {
-    std::unique_ptr<ShardedKVStore> store;
-    ASSERT_TRUE(ShardedKVStore::Open(options, &store).ok());
-    WriteBatch batch;
-    batch.Put(Slice(QK(0, 7)), Slice("torn?"));
-    batch.Put(Slice(QK(3, 7)), Slice("torn?"));
-    ASSERT_TRUE(store->Write(WriteOptions(), &batch).ok());  // sync=false
-    // An unrelated sync write to shard 0 fsyncs its WAL — which covers
-    // the earlier prepare sitting in it.
-    WriteOptions synced;
-    synced.sync = true;
-    ASSERT_TRUE(store->Put(synced, Slice(QK(0, 999)), Slice("anchor")).ok());
-    CrashAndDrop(&store, &fault);
-  }
-  std::unique_ptr<ShardedKVStore> store;
-  ASSERT_TRUE(ShardedKVStore::Open(options, &store).ok());
-  std::string value;
-  ASSERT_TRUE(store->Get(Slice(QK(0, 999)), &value).ok()) << "acked sync write lost";
-  for (int q : {0, 3}) {
-    EXPECT_TRUE(store->Get(Slice(QK(q, 7)), &value).IsNotFound())
-        << "shard " << q << ": a prepare without a marker must not replay";
-  }
-  EXPECT_GE(store->GetStats().orphaned_prepares, 1u);
-}
-
-// Mid-prepare torn tail: the prepare record for the LAST shard dies half
-// written. The transaction aborts with nothing visible, now or after a
-// crash.
-TEST(CrossShardFaultTest, TornShardWalTailDuringStraddlingWrite) {
-  MemEnv base;
-  FaultInjectionEnv fault(&base);
-  FloDbOptions options = ShardedFaultOptions(&fault);
-  {
-    std::unique_ptr<ShardedKVStore> store;
-    ASSERT_TRUE(ShardedKVStore::Open(options, &store).ok());
-    fault.FailAppendAfter(0, /*torn=*/true, "shard-003");
-    WriteOptions synced;
-    synced.sync = true;
-    WriteBatch batch;
-    for (int q = 0; q < 4; ++q) {
-      batch.Put(Slice(QK(q, 1)), Slice("v"));
-    }
-    Status s = store->Write(synced, &batch);
-    ASSERT_FALSE(s.ok());
-    std::string value;
-    EXPECT_NE(s.ToString().find("aborted, nothing committed"), std::string::npos) << s.ToString();
-    EXPECT_EQ(store->GetStats().txn_aborts, 1u);
-    for (int q = 0; q < 4; ++q) {
-      EXPECT_TRUE(store->Get(Slice(QK(q, 1)), &value).IsNotFound())
-          << "aborted transaction leaked shard " << q;
-    }
-    fault.ClearFaults();
-    CrashAndDrop(&store, &fault);
-  }
-  // The crash outcome matches the runtime report: nothing (the three
-  // durable prepares are discarded as orphans).
-  std::unique_ptr<ShardedKVStore> store;
-  ASSERT_TRUE(ShardedKVStore::Open(options, &store).ok());
-  std::string value;
-  for (int q = 0; q < 4; ++q) {
-    EXPECT_TRUE(store->Get(Slice(QK(q, 1)), &value).IsNotFound())
-        << "orphaned prepare for shard " << q << " replayed without a marker";
-  }
-  EXPECT_EQ(store->GetStats().orphaned_prepares, 3u);
-}
-
-// Kill point "between the prepares and the marker": the marker append
-// itself fails. Every prepare is durable, the ack never happens, and
-// recovery must discard all four prepares.
-TEST(CrossShardTxnLogFaultTest, MarkerFailureAbortsAndOrphansEveryPrepare) {
-  MemEnv base;
-  FaultInjectionEnv fault(&base);
-  FloDbOptions options = ShardedFaultOptions(&fault);
-  {
-    std::unique_ptr<ShardedKVStore> store;
-    ASSERT_TRUE(ShardedKVStore::Open(options, &store).ok());
-    fault.FailAppendAfter(0, /*torn=*/false, "txn.log");
-    WriteOptions synced;
-    synced.sync = true;
-    WriteBatch batch;
-    for (int q = 0; q < 4; ++q) {
-      batch.Put(Slice(QK(q, 2)), Slice("unacked"));
-    }
-    Status s = store->Write(synced, &batch);
-    ASSERT_FALSE(s.ok());
-    EXPECT_NE(s.ToString().find("aborted, nothing committed"), std::string::npos) << s.ToString();
-    EXPECT_EQ(store->GetStats().txn_aborts, 1u);
-    std::string value;
-    for (int q = 0; q < 4; ++q) {
-      EXPECT_TRUE(store->Get(Slice(QK(q, 2)), &value).IsNotFound()) << q;
-    }
-    fault.ClearFaults();
-    // A broken marker log latches: atomic writes keep failing until the
-    // next Open rebuilds it — but the single-shard fast path (no marker)
-    // must keep working.
-    WriteBatch retry;
-    retry.Put(Slice(QK(0, 3)), Slice("v"));
-    retry.Put(Slice(QK(3, 3)), Slice("v"));
-    EXPECT_FALSE(store->Write(synced, &retry).ok()) << "marker log must latch broken";
-    EXPECT_TRUE(store->Put(synced, Slice(QK(1, 4)), Slice("single")).ok());
-    CrashAndDrop(&store, &fault);
-  }
-  std::unique_ptr<ShardedKVStore> store;
-  ASSERT_TRUE(ShardedKVStore::Open(options, &store).ok());
-  std::string value;
-  for (int q = 0; q < 4; ++q) {
-    EXPECT_TRUE(store->Get(Slice(QK(q, 2)), &value).IsNotFound())
-        << "unacked transaction leaked shard " << q << " across recovery";
-  }
-  ASSERT_TRUE(store->Get(Slice(QK(1, 4)), &value).ok());
-  EXPECT_EQ(value, "single");
-  EXPECT_GE(store->GetStats().orphaned_prepares, 4u);
-  // Recovery seeds the id counter past every orphaned prepare's id, and
-  // the rebuilt marker log accepts transactions again.
-  EXPECT_GT(store->NextTxnId(), 1u);
-  WriteOptions synced;
-  synced.sync = true;
-  WriteBatch healed;
-  healed.Put(Slice(QK(0, 5)), Slice("healed"));
-  healed.Put(Slice(QK(3, 5)), Slice("healed"));
-  ASSERT_TRUE(store->Write(synced, &healed).ok());
-  EXPECT_EQ(store->GetStats().txn_commits, 1u);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "flodb/bench_util/workload.h"
 #include "flodb/common/coding.h"
@@ -331,6 +333,55 @@ TEST(FloDBRecoveryTest, WalValuePointerEntryFailsReplay) {
   std::unique_ptr<FloDB> db;
   const Status s = FloDB::Open(WalOptions(&env), &db);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+}
+
+// A directory written by the retired sharded store holds a SHARDING
+// manifest and a txn.log next to per-shard subdirectories. Opening it as
+// one store would read none of its data, so Open refuses it before
+// creating any file of its own.
+TEST(FloDBRecoveryTest, ShardedStoreDirectoryRefused) {
+  const struct {
+    const char* name;
+    std::string contents;
+  } markers[] = {
+      {"SHARDING", "shards=4 prefix_skip=0\n"},
+      // One commit marker for txn 300, as the router framed it.
+      {"txn.log", std::string("\x69\xd2\x5b\x97\x03\x00\x00\x00\x01\xac\x02", 11)},
+  };
+  for (const auto& marker : markers) {
+    SCOPED_TRACE(marker.name);
+    MemEnv env;
+    ASSERT_TRUE(env.CreateDir("/db").ok());
+    ASSERT_TRUE(
+        WriteStringToFile(&env, Slice(marker.contents), std::string("/db/") + marker.name, true)
+            .ok());
+    std::vector<std::string> before;
+    ASSERT_TRUE(env.GetChildren("/db", &before).ok());
+
+    std::unique_ptr<FloDB> db;
+    const Status s = FloDB::Open(WalOptions(&env), &db);
+    EXPECT_TRUE(s.IsNotSupported()) << s.ToString();
+    std::vector<std::string> after;
+    ASSERT_TRUE(env.GetChildren("/db", &after).ok());
+    EXPECT_EQ(after, before);
+  }
+}
+
+// A shard's WAL could hold cross-shard prepare records, whose entries are
+// visible only with the router's commit marker. Replay refuses one rather
+// than guess.
+TEST(FloDBRecoveryTest, WalPrepareRecordRefused) {
+  MemEnv env;
+  // Txn 300 over shards {0, 3}, one Put("key", "value"): the bytes the
+  // sharded store's WAL writer produced.
+  const std::string prepare(
+      "\x6f\xf6\x56\xeb\x12\x00\x00\x00\x03\xac\x02\x02\x00"
+      "\x03\x01\x00\x03\x6b\x65\x79\x05\x76\x61\x6c\x75\x65",
+      26);
+  ASSERT_TRUE(WriteStringToFile(&env, Slice(prepare), "/db/wal-000001.log", true).ok());
+  std::unique_ptr<FloDB> db;
+  const Status s = FloDB::Open(WalOptions(&env), &db);
+  EXPECT_TRUE(s.IsNotSupported()) << s.ToString();
 }
 
 }  // namespace

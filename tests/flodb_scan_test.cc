@@ -673,6 +673,46 @@ TEST_F(FloDBScanTest, IteratorOnEmptyRange) {
   EXPECT_TRUE(it->status().ok());
 }
 
+TEST_F(FloDBScanTest, InvertedScanBoundsYieldEmptyNotCrash) {
+  Open(SmallOptions());
+  ASSERT_TRUE(db_->Put(Slice(K(kSpace / 2)), Slice("v")).ok());
+  // low > high is an immediately exhausted scan, not an error.
+  ScanResult out = {{"stale", "stale"}};
+  ASSERT_TRUE(db_->Scan(Slice(K(kSpace - 1)), Slice(K(1)), 0, &out).ok());
+  EXPECT_TRUE(out.empty());
+  auto it = db_->NewScanIterator(ReadOptions(), Slice(K(kSpace - 1)), Slice(K(1)));
+  EXPECT_FALSE(it->Valid());
+  EXPECT_TRUE(it->status().ok());
+}
+
+// The iterator exposes each entry's real sequence number, and an
+// overwrite carries a newer one.
+TEST_F(FloDBScanTest, IteratorThreadsRealSequenceNumbers) {
+  Open(SmallOptions());
+  for (uint64_t i = 0; i < 4; ++i) {
+    ASSERT_TRUE(db_->Put(Slice(K(i)), Slice("first")).ok());
+  }
+  std::vector<uint64_t> first_seqs;
+  {
+    auto it = db_->NewScanIterator(ReadOptions(), Slice(), Slice());
+    for (; it->Valid(); it->Next()) {
+      EXPECT_GE(it->seq(), 1u);
+      first_seqs.push_back(it->seq());
+    }
+    ASSERT_EQ(first_seqs.size(), 4u);
+  }
+  for (uint64_t i = 0; i < 4; ++i) {
+    ASSERT_TRUE(db_->Put(Slice(K(i)), Slice("second")).ok());
+  }
+  auto it = db_->NewScanIterator(ReadOptions(), Slice(), Slice());
+  size_t i = 0;
+  for (; it->Valid(); it->Next(), ++i) {
+    EXPECT_EQ(it->value().ToString(), "second");
+    EXPECT_GT(it->seq(), first_seqs[i]) << "the overwrite must carry a newer seq";
+  }
+  EXPECT_EQ(i, 4u);
+}
+
 // A scan over an unreadable table fails with the table's error instead of
 // returning the readable rest as if it were the whole range.
 TEST_F(FloDBScanTest, CorruptTableFailsTheScan) {

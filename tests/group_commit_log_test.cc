@@ -1,5 +1,5 @@
-// GroupCommitLog: the one group-commit queue behind FloDB's WAL and the
-// sharded router's txn log (DESIGN.md §10). Checks that concurrent sync
+// GroupCommitLog: the group-commit queue behind FloDB's WAL (DESIGN.md
+// §10). Checks that concurrent sync
 // writers share fsyncs and every acknowledged record replays exactly once
 // in its writer's order, and one case per per-writer outcome rule: a
 // broken log fails everyone, an append failure at writer i fails i and

@@ -1,6 +1,6 @@
 // flodb-server: the FloDB network server binary (DESIGN.md §11).
 //
-//   flodb-server --db /var/lib/flodb [--port 6399] [--shards 4] [--sync]
+//   flodb-server --db /var/lib/flodb [--port 6399] [--sync]
 //
 // Speaks RESP2 on a TCP port, so redis-cli / redis-benchmark / memtier
 // work out of the box for the supported command set (GET SET DEL MGET
@@ -21,7 +21,6 @@
 #include <string>
 
 #include "flodb/core/flodb.h"
-#include "flodb/core/sharded_store.h"
 #include "flodb/disk/env.h"
 #include "flodb/net/server.h"
 #include "int_flag.h"
@@ -35,7 +34,6 @@ void Usage(const char* argv0) {
                "  --port N         TCP port, 0 = ephemeral (default 6399)\n"
                "  --bind ADDR      bind address (default 127.0.0.1)\n"
                "  --workers N      event-loop threads, 0 = auto (default 0)\n"
-               "  --shards N       FloDB shards (default 1)\n"
                "  --memory-mb N    memory-component budget (default 64)\n"
                "  --sync           fsync the WAL before acking every write\n"
                "  --no-wal         disable write-ahead logging (no crash durability)\n",
@@ -49,7 +47,6 @@ int main(int argc, char** argv) {
   std::string bind_address = "127.0.0.1";
   int port = 6399;
   int workers = 0;
-  int shards = 1;
   long long memory_mb = 64;
   bool sync_writes = false;
   bool enable_wal = true;
@@ -71,9 +68,6 @@ int main(int argc, char** argv) {
       bind_address = next("--bind");
     } else if (arg == "--workers") {
       workers = static_cast<int>(IntFlagOrExit("--workers", next("--workers"), 0, 1024));
-    } else if (arg == "--shards") {
-      shards = static_cast<int>(
-          IntFlagOrExit("--shards", next("--shards"), 1, flodb::ShardedKVStore::kMaxShards));
     } else if (arg == "--memory-mb") {
       // Capped so the byte budget (memory_mb << 20) cannot overflow.
       memory_mb = IntFlagOrExit("--memory-mb", next("--memory-mb"), 1,
@@ -105,21 +99,11 @@ int main(int argc, char** argv) {
   flodb::FloDbOptions options;
   options.memory_budget_bytes = static_cast<size_t>(memory_mb) << 20;
   options.enable_wal = enable_wal;
-  options.shards = shards;
   options.disk.env = flodb::GetPosixEnv();
   options.disk.path = db_path;
 
-  std::unique_ptr<flodb::KVStore> store;
-  flodb::Status status;
-  if (shards > 1) {
-    std::unique_ptr<flodb::ShardedKVStore> sharded;
-    status = flodb::ShardedKVStore::Open(options, &sharded);
-    store = std::move(sharded);
-  } else {
-    std::unique_ptr<flodb::FloDB> single;
-    status = flodb::FloDB::Open(options, &single);
-    store = std::move(single);
-  }
+  std::unique_ptr<flodb::FloDB> store;
+  flodb::Status status = flodb::FloDB::Open(options, &store);
   if (!status.ok()) {
     std::fprintf(stderr, "flodb-server: cannot open store at %s: %s\n", db_path.c_str(),
                  status.ToString().c_str());
@@ -138,9 +122,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "flodb-server: cannot start: %s\n", status.ToString().c_str());
     return 1;
   }
-  std::printf("flodb-server listening on %s:%d (store=%s, db=%s, shards=%d, wal=%s, sync=%s)\n",
+  std::printf("flodb-server listening on %s:%d (store=%s, db=%s, wal=%s, sync=%s)\n",
               bind_address.c_str(), server->port(), store->Name().c_str(), db_path.c_str(),
-              shards, enable_wal ? "on" : "off", sync_writes ? "on" : "off");
+              enable_wal ? "on" : "off", sync_writes ? "on" : "off");
   std::fflush(stdout);
 
   int sig = 0;
