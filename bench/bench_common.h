@@ -19,6 +19,11 @@
 //                         column next to the default)
 //   FLODB_BENCH_JSON      JSON output path (same as the
 //                         --json command-line flag)
+//
+// Every figure reads these through BenchConfig::FromEnv(argc, argv) and
+// records each result once with Report::Add, which prints the table line
+// and, when a JSON path is set, lands the row in the figure's
+// {"figure", "rows"} document (flodb/bench_util/report.h).
 
 #ifndef FLODB_BENCH_BENCH_COMMON_H_
 #define FLODB_BENCH_BENCH_COMMON_H_

@@ -6,9 +6,9 @@
 
 #include "latency_vs_memory.h"
 
-int main() {
+int main(int argc, char** argv) {
   flodb::bench::RunLatencyVsMemory(
       "fig03", "RocksDB-like skiplist memtable: latency vs memory size",
-      flodb::BaselineMemTable::Kind::kSkipList);
+      flodb::BaselineMemTable::Kind::kSkipList, flodb::bench::BenchConfig::FromEnv(argc, argv));
   return 0;
 }

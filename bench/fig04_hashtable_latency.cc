@@ -6,9 +6,9 @@
 
 #include "latency_vs_memory.h"
 
-int main() {
+int main(int argc, char** argv) {
   flodb::bench::RunLatencyVsMemory(
       "fig04", "RocksDB-like hash memtable: latency vs memory size",
-      flodb::BaselineMemTable::Kind::kHashTable);
+      flodb::BaselineMemTable::Kind::kHashTable, flodb::bench::BenchConfig::FromEnv(argc, argv));
   return 0;
 }

@@ -58,26 +58,19 @@ double RunPoint(uint64_t dataset, int threads, double seconds) {
 }  // namespace
 }  // namespace flodb::bench
 
-int main() {
+int main(int argc, char** argv) {
   using namespace flodb::bench;
-  BenchConfig config = BenchConfig::FromEnv();
+  BenchConfig config = BenchConfig::FromEnv(argc, argv);
   Report report("fig07", "concurrent skiplist throughput (Mops/s), threads x dataset size");
 
   const std::vector<uint64_t> datasets = {32'000, 262'144, 1'048'576};
-  std::vector<std::string> header = {"threads"};
-  for (uint64_t d : datasets) {
-    header.push_back(std::to_string(d / 1000) + "K");
-  }
-  report.Header(header);
-
   for (int threads : config.threads) {
-    std::vector<std::string> row = {std::to_string(threads)};
     for (uint64_t dataset : datasets) {
-      const double mops = RunPoint(dataset, threads, config.seconds);
-      row.push_back(Report::Fmt(mops, 2));
-      report.Csv({std::to_string(threads), std::to_string(dataset), Report::Fmt(mops, 3)});
+      report.Add({{"threads", threads},
+                  {"dataset", dataset},
+                  {"mops", RunPoint(dataset, threads, config.seconds)}});
     }
-    report.Row(row);
   }
+  report.WriteJson(config.json_path);
   return 0;
 }

@@ -71,11 +71,10 @@ double RunPoint(uint64_t initial_size, uint64_t neighborhood, bool multi_insert,
 }  // namespace
 }  // namespace flodb::bench
 
-int main() {
+int main(int argc, char** argv) {
   using namespace flodb::bench;
-  BenchConfig config = BenchConfig::FromEnv();
+  BenchConfig config = BenchConfig::FromEnv(argc, argv);
   Report report("fig08", "simple insert vs 5-key multi-insert by neighborhood size (Mops/s)");
-  report.Header({"neighborhood", "simple_insert", "multi_insert", "speedup"});
 
   // The multi-insert advantage grows with the tower-descent depth, i.e.
   // with the initial list size relative to the neighborhood (paper: 100M
@@ -87,10 +86,11 @@ int main() {
   for (uint64_t n : neighborhoods) {
     const double simple = RunPoint(initial, n, /*multi_insert=*/false, config.seconds);
     const double multi = RunPoint(initial, n, /*multi_insert=*/true, config.seconds);
-    const std::string label = n == 0 ? "None" : std::to_string(n);
-    report.Row({label, Report::Fmt(simple, 2), Report::Fmt(multi, 2),
-                Report::Fmt(simple > 0 ? multi / simple : 0, 2)});
-    report.Csv({label, Report::Fmt(simple, 3), Report::Fmt(multi, 3)});
+    report.Add({{"neighborhood", n},
+                {"simple_mops", simple},
+                {"multi_mops", multi},
+                {"speedup", simple > 0 ? multi / simple : 0}});
   }
+  report.WriteJson(config.json_path);
   return 0;
 }

@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   spec.workload.scan_length = 100;
   spec.init = InitRecipe::kHalfRandom;
   spec.metric = [](const DriverResult& r) { return r.MkeysPerSec(); };
-  spec.metric_name = "Mkeys/s";
+  spec.metric_name = "mkeys_per_s";
   RunSystemSweep(spec, flodb::bench::BenchConfig::FromEnv(argc, argv));
   return 0;
 }

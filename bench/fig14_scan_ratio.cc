@@ -5,22 +5,21 @@
 
 #include "bench_common.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace flodb::bench;
-  BenchConfig config = BenchConfig::FromEnv();
+  BenchConfig config = BenchConfig::FromEnv(argc, argv);
   Report report("fig14", "FloDB: scan ratio vs operation- and key-throughput");
-  report.Header({"scan_pct", "write_Mops", "scan_Mops", "total_Mops", "Mkeys/s"});
 
   const int threads = config.threads.empty() ? 4 : config.threads.back();
-  for (double scan_pct : {0.02, 0.05, 0.10, 0.25, 0.50}) {
+  for (int scan_pct : {2, 5, 10, 25, 50}) {
     StoreInstance instance = OpenStore(StoreId::kFloDB, config, config.memory_bytes);
     LoadRandomOrder(instance.get(), config.key_space / 2, config.key_space,
                     config.value_bytes);
     instance->FlushAll();
 
     WorkloadSpec workload;
-    workload.put_fraction = 1.0 - scan_pct;
-    workload.scan_fraction = scan_pct;
+    workload.scan_fraction = scan_pct / 100.0;
+    workload.put_fraction = 1.0 - workload.scan_fraction;
     workload.scan_length = 100;
     workload.key_space = config.key_space;
     workload.value_bytes = config.value_bytes;
@@ -30,12 +29,14 @@ int main() {
     driver.seconds = config.seconds;
 
     const DriverResult result = RunWorkload(instance.get(), workload, driver);
-    const std::string label = Report::Fmt(scan_pct * 100, 0) + "%";
-    report.Row({label, Report::Fmt(result.WriteMopsPerSec(), 3),
-                Report::Fmt(result.ScanMopsPerSec(), 3), Report::Fmt(result.MopsPerSec(), 3),
-                Report::Fmt(result.MkeysPerSec(), 3)});
-    report.Csv({label, Report::Fmt(result.WriteMopsPerSec(), 4),
-                Report::Fmt(result.ScanMopsPerSec(), 4), Report::Fmt(result.MkeysPerSec(), 4)});
+    report.Add({{"store", "FloDB"},
+                {"threads", threads},
+                {"scan_pct", scan_pct},
+                {"write_mops", result.WriteMopsPerSec()},
+                {"scan_mops", result.ScanMopsPerSec()},
+                {"mops", result.MopsPerSec()},
+                {"mkeys_per_s", result.MkeysPerSec()}});
   }
+  report.WriteJson(config.json_path);
   return 0;
 }

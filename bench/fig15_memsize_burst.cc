@@ -5,16 +5,10 @@
 
 #include "bench_common.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace flodb::bench;
-  BenchConfig config = BenchConfig::FromEnv();
+  BenchConfig config = BenchConfig::FromEnv(argc, argv);
   Report report("fig15", "write-only burst, throughput vs memory component size");
-
-  std::vector<std::string> header = {"memory"};
-  for (StoreId id : AllStores()) {
-    header.push_back(StoreName(id));
-  }
-  report.Header(header);
 
   // Fixed-VOLUME burst (paper: a 10s burst "empirically chosen such that
   // the system is not limited to its steady-state write throughput"): the
@@ -31,9 +25,6 @@ int main() {
                                      16u << 20, 32u << 20};
   const int threads = config.threads.empty() ? 4 : config.threads.back();
   for (size_t memory : sizes) {
-    char mem_label[32];
-    snprintf(mem_label, sizeof(mem_label), "%zuKB", memory >> 10);
-    std::vector<std::string> row = {mem_label};
     for (StoreId id : AllStores()) {
       StoreInstance instance = OpenStore(id, config, memory);
 
@@ -48,10 +39,12 @@ int main() {
       driver.ops_per_thread = burst_ops / static_cast<uint64_t>(threads);
 
       const DriverResult result = RunWorkload(instance.get(), workload, driver);
-      row.push_back(Report::Fmt(result.MopsPerSec(), 3));
-      report.Csv({mem_label, StoreName(id), Report::Fmt(result.MopsPerSec(), 4)});
+      report.Add({{"store", StoreName(id)},
+                  {"memory_kb", memory >> 10},
+                  {"threads", threads},
+                  {"mops", result.MopsPerSec()}});
     }
-    report.Row(row);
   }
+  report.WriteJson(config.json_path);
   return 0;
 }

@@ -7,9 +7,9 @@
 
 #include "bench_common.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace flodb::bench;
-  BenchConfig config = BenchConfig::FromEnv();
+  BenchConfig config = BenchConfig::FromEnv(argc, argv);
   Report report("fig16", "skewed 98/2 mixed 50r/50u, throughput vs memory size");
 
   const double hot_set_bytes = static_cast<double>(config.key_space) * 0.02 *
@@ -31,19 +31,10 @@ int main() {
   }
   columns.push_back({StoreId::kFloDB, 0, "FloDB-nocache"});
 
-  std::vector<std::string> header = {"memory"};
-  for (const Column& column : columns) {
-    header.push_back(column.name);
-  }
-  report.Header(header);
-
   const std::vector<size_t> sizes = {256u << 10, 512u << 10, 1u << 20, 2u << 20,
                                      4u << 20,   8u << 20};
   const int threads = config.threads.empty() ? 4 : config.threads.back();
   for (size_t memory : sizes) {
-    char mem_label[32];
-    snprintf(mem_label, sizeof(mem_label), "%zuKB", memory >> 10);
-    std::vector<std::string> row = {mem_label};
     for (const Column& column : columns) {
       StoreInstance instance = OpenStore(column.id, config, memory, column.cache_bytes);
       LoadRandomOrder(instance.get(), config.key_space / 2, config.key_space,
@@ -64,10 +55,12 @@ int main() {
       driver.seconds = config.seconds;
 
       const DriverResult result = RunWorkload(instance.get(), workload, driver);
-      row.push_back(Report::Fmt(result.MopsPerSec(), 3));
-      report.Csv({mem_label, column.name, Report::Fmt(result.MopsPerSec(), 4)});
+      report.Add({{"store", column.name},
+                  {"memory_kb", memory >> 10},
+                  {"threads", threads},
+                  {"mops", result.MopsPerSec()}});
     }
-    report.Row(row);
   }
+  report.WriteJson(config.json_path);
   return 0;
 }

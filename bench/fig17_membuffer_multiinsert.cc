@@ -1,9 +1,9 @@
 // Figure 17: ablation of FloDB's own memory component with persistence
 // DISABLED (immutable Memtables are dropped), isolating the in-memory
 // write path:
-//   * "No HT"                — Membuffer disabled (classic single level)
-//   * "HT, simple insert SL" — two levels, drain uses one insert per key
-//   * "HT, multi-insert SL"  — two levels, drain uses skiplist multi-insert
+//   * No_HT     — Membuffer disabled (classic single level)
+//   * HT_simple — two levels, drain uses one insert per key
+//   * HT_multi  — two levels, drain uses skiplist multi-insert
 // Also reports the fraction of updates completing directly in the
 // Membuffer (the boxed numbers in the paper's figure). Expected shape:
 // No-HT degrades with memory size; both HT variants scale; multi-insert
@@ -59,16 +59,15 @@ double RunPoint(const Variant& variant, size_t memory, int threads, const BenchC
 }  // namespace
 }  // namespace flodb::bench
 
-int main() {
+int main(int argc, char** argv) {
   using namespace flodb::bench;
-  BenchConfig config = BenchConfig::FromEnv();
+  BenchConfig config = BenchConfig::FromEnv(argc, argv);
   Report report("fig17", "FloDB memory-component variants (persistence off)");
-  report.Header({"config", "No_HT", "HT_simple", "HT_multi", "HT_multi_direct%"});
 
   const Variant variants[] = {
-      {"No HT", false, false},
-      {"HT, simple insert SL", true, false},
-      {"HT, multi-insert SL", true, true},
+      {"No_HT", false, false},
+      {"HT_simple", true, false},
+      {"HT_multi", true, true},
   };
 
   struct Point {
@@ -85,21 +84,16 @@ int main() {
   };
 
   for (const Point& point : points) {
-    char label[48];
-    snprintf(label, sizeof(label), "%zuMB,%dt", point.memory >> 20, point.threads);
-    std::vector<std::string> row = {label};
-    double direct_fraction = 0;
     for (const Variant& variant : variants) {
       double fraction = 0;
       const double mops = RunPoint(variant, point.memory, point.threads, config, &fraction);
-      row.push_back(Report::Fmt(mops, 3));
-      if (variant.membuffer && variant.multi_insert) {
-        direct_fraction = fraction;
-      }
-      report.Csv({label, variant.name, Report::Fmt(mops, 4), Report::Fmt(fraction * 100, 1)});
+      report.Add({{"variant", variant.name},
+                  {"memory_mb", point.memory >> 20},
+                  {"threads", point.threads},
+                  {"mops", mops},
+                  {"membuffer_pct", fraction * 100}});
     }
-    row.push_back(Report::Fmt(direct_fraction * 100, 1) + "%");
-    report.Row(row);
   }
+  report.WriteJson(config.json_path);
   return 0;
 }

@@ -42,9 +42,6 @@ int main(int argc, char** argv) {
 
   Report report("fig_compaction",
                 "overwrite churn: write-amp, space-amp, reads under compaction");
-  report.Header(
-      {"threads", "writes/s", "write_amp", "space_amp", "read mops", "files/level"});
-  const bool json = !config.json_path.empty();
 
   for (const int threads : config.threads) {
     MemEnv env;
@@ -160,22 +157,16 @@ int main(int argc, char** argv) {
     const uint64_t reads = total_reads.load();
     const double read_mops = static_cast<double>(reads) / read_elapsed / 1e6;
 
-    report.Row({std::to_string(threads), Report::Fmt(writes_per_sec, 0),
-                Report::Fmt(write_amp, 2), Report::Fmt(space_amp, 2),
-                Report::Fmt(read_mops, 3), levels});
-    report.Csv({std::to_string(threads), Report::Fmt(writes_per_sec, 1),
-                Report::Fmt(write_amp, 3), Report::Fmt(space_amp, 3),
-                Report::Fmt(read_mops, 4)});
-    if (json) {
-      report.JsonRow({{"store", "FloDB"}},
-                     {{"threads", static_cast<double>(threads)},
-                      {"mops", read_mops},
-                      {"write_amp", write_amp},
-                      {"space_amp", space_amp},
-                      {"writes", static_cast<double>(writes)},
-                      {"reads", static_cast<double>(reads)},
-                      {"compactions", static_cast<double>(stats.disk.compactions)}});
-    }
+    report.Add({{"store", "FloDB"},
+                {"threads", threads},
+                {"writes_per_s", writes_per_sec},
+                {"write_amp", write_amp},
+                {"space_amp", space_amp},
+                {"mops", read_mops},
+                {"writes", writes},
+                {"reads", reads},
+                {"compactions", stats.disk.compactions},
+                {"files_per_level", levels}});
   }
   report.WriteJson(config.json_path);
   return 0;

@@ -30,22 +30,12 @@ int main(int argc, char** argv) {
   const Dist dists[] = {{"uniform", KeyDistribution::kUniform},
                         {"zipfian", KeyDistribution::kZipfian}};
 
-  report.Header({"cache", "uniform", "uni-hit%", "zipfian", "zipf-hit%"});
-
   // Per-distribution throughput at cache size 0 and at the last swept
   // size, for the closing speedup line.
   double baseline_mops[2] = {0, 0};
   double last_mops[2] = {0, 0};
 
   for (long long cache : cache_sizes) {
-    char cache_label[32];
-    if (cache == 0) {
-      snprintf(cache_label, sizeof(cache_label), "off");
-    } else {
-      snprintf(cache_label, sizeof(cache_label), "%lldKB", cache >> 10);
-    }
-    std::vector<std::string> row = {cache_label};
-
     for (size_t d = 0; d < 2; ++d) {
       StoreInstance instance =
           OpenStore(StoreId::kFloDB, config, config.memory_bytes, cache);
@@ -85,19 +75,14 @@ int main(int argc, char** argv) {
       }
       last_mops[d] = mops;
 
-      row.push_back(Report::Fmt(mops, 3));
-      row.push_back(Report::Fmt(hit_rate * 100, 1));
-      report.Csv({cache_label, dists[d].name, Report::Fmt(mops, 4),
-                  Report::Fmt(hit_rate, 4)});
-      const std::string store_name =
-          std::string("FloDB-") + dists[d].name + "-" + cache_label;
-      report.JsonRow({{"store", store_name}, {"dist", dists[d].name}},
-                     {{"threads", static_cast<double>(threads)},
-                      {"cache_bytes", static_cast<double>(cache)},
-                      {"mops", mops},
-                      {"hit_rate", hit_rate}});
+      const std::string cache_label = cache == 0 ? "off" : std::to_string(cache >> 10) + "KB";
+      report.Add({{"store", std::string("FloDB-") + dists[d].name + "-" + cache_label},
+                  {"dist", dists[d].name},
+                  {"threads", threads},
+                  {"cache_bytes", cache},
+                  {"mops", mops},
+                  {"hit_rate", hit_rate}});
     }
-    report.Row(row);
   }
 
   // The acceptance lens: warm-cache speedup over cache-off per

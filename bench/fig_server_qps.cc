@@ -54,9 +54,7 @@ int main(int argc, char** argv) {
   }
 
   Report report("fig_server_qps", "flodb-server loopback QPS, connections x pipeline depth");
-  report.Header({"conns", "pipeline", "ops/s", "burst p50 us", "burst p99 us", "folded"});
 
-  const bool json = !config.json_path.empty();
   const std::string value(config.value_bytes, 'v');
   for (const int depth : depths) {
     for (const int conns : config.threads) {
@@ -136,21 +134,15 @@ int main(int argc, char** argv) {
       const double p50_us = static_cast<double>(merged.PercentileNanos(50)) / 1e3;
       const double p99_us = static_cast<double>(merged.PercentileNanos(99)) / 1e3;
 
-      report.Row({std::to_string(conns), std::to_string(depth), Report::Fmt(ops_per_sec, 0),
-                  Report::Fmt(p50_us, 1), Report::Fmt(p99_us, 1), Report::Fmt(folded, 2)});
-      report.Csv({std::to_string(conns), std::to_string(depth), Report::Fmt(ops_per_sec, 1),
-                  Report::Fmt(p50_us, 2), Report::Fmt(p99_us, 2)});
-      if (json) {
-        // The regression gate keys rows on (store, threads):
-        // pipeline depth rides in the store name, connections in threads.
-        report.JsonRow({{"store", "flodb-server-p" + std::to_string(depth)}},
-                       {{"threads", static_cast<double>(conns)},
-                        {"mops", ops_per_sec / 1e6},
-                        {"pipeline", static_cast<double>(depth)},
-                        {"burst_p50_us", p50_us},
-                        {"burst_p99_us", p99_us},
-                        {"cmds_per_batch", folded}});
-      }
+      // The regression gate keys rows on (store, threads): pipeline
+      // depth rides in the store name, connections in threads.
+      report.Add({{"store", "flodb-server-p" + std::to_string(depth)},
+                  {"threads", conns},
+                  {"mops", ops_per_sec / 1e6},
+                  {"pipeline", depth},
+                  {"burst_p50_us", p50_us},
+                  {"burst_p99_us", p99_us},
+                  {"cmds_per_batch", folded}});
     }
   }
 

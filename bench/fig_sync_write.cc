@@ -36,9 +36,7 @@ int main(int argc, char** argv) {
   const std::string title = "sync=true write throughput vs writer count, " +
                             std::to_string(sync_micros) + "us injected fsync, group commit";
   Report report("fig_sync_write", title);
-  report.Header({"threads", "writes/s", "wal syncs", "syncs/write"});
 
-  const bool json = !config.json_path.empty();
   for (const int threads : config.threads) {
     MemEnv base_env;
     FaultInjectionEnv fault_env(&base_env);
@@ -99,18 +97,12 @@ int main(int argc, char** argv) {
     const double writes_per_sec = static_cast<double>(writes) / elapsed;
     const double syncs_per_write =
         writes > 0 ? static_cast<double>(stats.wal_syncs) / static_cast<double>(writes) : 0.0;
-    report.Row({std::to_string(threads), Report::Fmt(writes_per_sec, 0),
-                std::to_string(stats.wal_syncs), Report::Fmt(syncs_per_write, 3)});
-    report.Csv({std::to_string(threads), Report::Fmt(writes_per_sec, 1),
-                Report::Fmt(syncs_per_write, 4)});
-    if (json) {
-      report.JsonRow({{"store", "FloDB-sync-coalesce"}},
-                     {{"threads", static_cast<double>(threads)},
-                      {"mops", writes_per_sec / 1e6},
-                      {"wal_syncs", static_cast<double>(stats.wal_syncs)},
-                      {"writes", static_cast<double>(writes)},
-                      {"syncs_per_write", syncs_per_write}});
-    }
+    report.Add({{"store", "FloDB-sync-coalesce"},
+                {"threads", threads},
+                {"mops", writes_per_sec / 1e6},
+                {"wal_syncs", stats.wal_syncs},
+                {"writes", writes},
+                {"syncs_per_write", syncs_per_write}});
   }
   report.WriteJson(config.json_path);
   return 0;

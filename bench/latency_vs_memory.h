@@ -10,10 +10,8 @@
 namespace flodb::bench {
 
 inline void RunLatencyVsMemory(const char* figure_id, const char* title,
-                               BaselineMemTable::Kind kind) {
-  BenchConfig config = BenchConfig::FromEnv();
+                               BaselineMemTable::Kind kind, const BenchConfig& config) {
   Report report(figure_id, title);
-  report.Header({"memory", "read_p50_us", "write_p50_us", "read_norm", "write_norm"});
 
   // Stand-ins for the paper's 128MB..8GB sweep.
   const std::vector<size_t> sizes = {256u << 10, 512u << 10, 1u << 20, 2u << 20,
@@ -63,12 +61,13 @@ inline void RunLatencyVsMemory(const char* figure_id, const char* title,
       read_base = read_us > 0 ? read_us : 1;
       write_base = write_us > 0 ? write_us : 1;
     }
-    char mem_label[32];
-    snprintf(mem_label, sizeof(mem_label), "%zuKB", memory >> 10);
-    report.Row({mem_label, Report::Fmt(read_us, 2), Report::Fmt(write_us, 2),
-                Report::Fmt(read_us / read_base, 2), Report::Fmt(write_us / write_base, 2)});
-    report.Csv({mem_label, Report::Fmt(read_us, 3), Report::Fmt(write_us, 3)});
+    report.Add({{"memory_kb", memory >> 10},
+                {"read_p50_us", read_us},
+                {"write_p50_us", write_us},
+                {"read_norm", read_us / read_base},
+                {"write_norm", write_us / write_base}});
   }
+  report.WriteJson(config.json_path);
 }
 
 }  // namespace flodb::bench

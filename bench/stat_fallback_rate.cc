@@ -4,11 +4,10 @@
 
 #include "bench_common.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace flodb::bench;
-  BenchConfig config = BenchConfig::FromEnv();
+  BenchConfig config = BenchConfig::FromEnv(argc, argv);
   Report report("stat_fallback", "FloDB fallback-scan rate across scan sweeps");
-  report.Header({"scan_len", "memory", "threads", "scans", "restarts", "fallbacks", "rate%"});
 
   const int max_threads = config.threads.empty() ? 4 : config.threads.back();
   for (size_t scan_len : {10u, 100u, 1000u}) {
@@ -34,15 +33,17 @@ int main() {
         const double rate = stats.scans > 0 ? 100.0 * static_cast<double>(stats.fallback_scans) /
                                                   static_cast<double>(stats.scans)
                                             : 0;
-        char mem_label[32];
-        snprintf(mem_label, sizeof(mem_label), "%zuKB", memory >> 10);
-        report.Row({std::to_string(scan_len), mem_label, std::to_string(threads),
-                    std::to_string(stats.scans), std::to_string(stats.scan_restarts),
-                    std::to_string(stats.fallback_scans), Report::Fmt(rate, 2)});
-        report.Csv({std::to_string(scan_len), mem_label, std::to_string(threads),
-                    Report::Fmt(rate, 3)});
+        report.Add({{"store", "FloDB"},
+                    {"scan_len", scan_len},
+                    {"memory_kb", memory >> 10},
+                    {"threads", threads},
+                    {"scans", stats.scans},
+                    {"restarts", stats.scan_restarts},
+                    {"fallbacks", stats.fallback_scans},
+                    {"fallback_pct", rate}});
       }
     }
   }
+  report.WriteJson(config.json_path);
   return 0;
 }

@@ -1,9 +1,8 @@
 // Shared driver for the system-comparison figures (9-13): every store,
 // swept over thread counts, with a per-figure workload and initialization
-// recipe. Prints one column per store, one row per thread count, plus CSV.
-//
-// With a JSON sink (--json out.json / FLODB_BENCH_JSON) every cell also
-// records throughput and p50/p99 latencies for CI regression tracking.
+// recipe. Records one row per (threads, store) cell: the figure's metric
+// (Mops/s unless the spec names another), p50/p99 read and write
+// latencies, and the block-cache hit rate.
 
 #ifndef FLODB_BENCH_SYSTEM_SWEEP_H_
 #define FLODB_BENCH_SYSTEM_SWEEP_H_
@@ -23,9 +22,9 @@ struct SweepSpec {
   InitRecipe init = InitRecipe::kHalfRandom;
   bool two_role = false;
   WorkloadSpec writer_spec;
-  // Metric extractor; default = Mops/s.
+  // Metric extractor and its row field; default = Mops/s as "mops".
   std::function<double(const DriverResult&)> metric;
-  const char* metric_name = "Mops/s";
+  const char* metric_name = "mops";
 };
 
 // One column of the sweep: a store kind plus (for FloDB) an optional
@@ -57,21 +56,11 @@ inline std::vector<SweepColumn> SweepColumns(const BenchConfig& config) {
 
 inline void RunSystemSweep(const SweepSpec& spec, const BenchConfig& config) {
   Report report(spec.figure_id, spec.title);
-  const std::vector<SweepColumn> columns = SweepColumns(config);
-  const bool json = !config.json_path.empty();
-
-  std::vector<std::string> header = {"threads"};
-  for (const SweepColumn& column : columns) {
-    header.push_back(column.name);
-  }
-  report.Header(header);
-
   auto metric = spec.metric ? spec.metric
                             : [](const DriverResult& r) { return r.MopsPerSec(); };
 
   for (int threads : config.threads) {
-    std::vector<std::string> row = {std::to_string(threads)};
-    for (const SweepColumn& column : columns) {
+    for (const SweepColumn& column : SweepColumns(config)) {
       StoreInstance instance =
           OpenStore(column.id, config, config.memory_bytes, column.cache_bytes);
       switch (spec.init) {
@@ -99,25 +88,18 @@ inline void RunSystemSweep(const SweepSpec& spec, const BenchConfig& config) {
       driver.writer_spec = spec.writer_spec;
       driver.writer_spec.key_space = config.key_space;
       driver.writer_spec.value_bytes = config.value_bytes;
-      driver.record_latency = json;
+      driver.record_latency = true;
 
       const DriverResult result = RunWorkload(instance.get(), workload, driver);
-      const double value = metric(result);
-      row.push_back(Report::Fmt(value, 3));
-      report.Csv({std::to_string(threads), column.name, Report::Fmt(value, 4)});
-      if (json) {
-        const StoreStats stats = instance->GetStats();
-        report.JsonRow({{"store", column.name}},
-                       {{"threads", static_cast<double>(threads)},
-                        {"mops", value},
-                        {"read_p50_ns", static_cast<double>(result.read_p50)},
-                        {"read_p99_ns", static_cast<double>(result.read_p99)},
-                        {"write_p50_ns", static_cast<double>(result.write_p50)},
-                        {"write_p99_ns", static_cast<double>(result.write_p99)},
-                        {"block_cache_hit_rate", stats.disk.BlockCacheHitRate()}});
-      }
+      report.Add({{"store", column.name},
+                  {"threads", threads},
+                  {spec.metric_name, metric(result)},
+                  {"read_p50_ns", result.read_p50},
+                  {"read_p99_ns", result.read_p99},
+                  {"write_p50_ns", result.write_p50},
+                  {"write_p99_ns", result.write_p99},
+                  {"block_cache_hit_rate", instance->GetStats().disk.BlockCacheHitRate()}});
     }
-    report.Row(row);
   }
   report.WriteJson(config.json_path);
 }

@@ -37,6 +37,13 @@ IN_RUN = {
                                  ("zipfian", 4.1943e6, 0.6),    # 4 MiB, rounded down
                                  ("zipfian", 1.67772e7, 0.8),
                                  ("uniform", 4.1943e6, 0.1))],  # only zipfian is gated
+    "fig14": [
+        {"store": "FloDB", "threads": 4, "scan_pct": pct, "mops": mops, "mkeys_per_s": mkeys}
+        for pct, mops, mkeys in ((2, 0.60, 1.7), (10, 0.35, 3.5), (50, 0.08, 4.1))],
+    "stat_fallback": [
+        {"store": "FloDB", "scan_len": scan_len, "memory_kb": 512, "threads": 4,
+         "fallback_pct": pct}
+        for scan_len, pct in ((10, 0.0), (100, 0.05), (1000, 0.29))],
 }
 
 

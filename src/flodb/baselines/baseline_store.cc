@@ -347,7 +347,7 @@ std::unique_ptr<ScanIterator> BaselineStore::NewScanIterator(const ReadOptions& 
   if (options.fill_stats) {
     scans_.fetch_add(1, std::memory_order_relaxed);
   }
-  return std::make_unique<ChunkedScanIterator>(
+  return std::make_unique<ScanIterator>(
       low_key, options.scan_chunk_size,
       [this, high = high_key.ToString()](const Slice& start, bool exclusive, size_t limit,
                                          std::vector<ScanEntry>* out) {

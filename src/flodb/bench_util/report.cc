@@ -53,74 +53,49 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
+std::string FormatNumber(double v) {
+  char buf[64];
+  snprintf(buf, sizeof(buf), "%.6g", v);
+  return buf;
+}
+
+void PrintCell(const std::string& text, size_t width) {
+  printf("%-*s%s", static_cast<int>(width), text.c_str(), text.size() < width ? "" : " ");
+}
+
 }  // namespace
 
 Report::Report(std::string figure_id, std::string title) : figure_id_(std::move(figure_id)) {
   printf("\n== %s: %s ==\n", figure_id_.c_str(), title.c_str());
 }
 
-void Report::Header(const std::vector<std::string>& columns) {
-  widths_.clear();
-  for (const std::string& c : columns) {
-    widths_.push_back(c.size() < 12 ? 12 : c.size() + 2);
-  }
-  for (size_t i = 0; i < columns.size(); ++i) {
-    printf("%-*s", static_cast<int>(widths_[i]), columns[i].c_str());
-  }
-  printf("\n");
-  size_t total = 0;
-  for (size_t w : widths_) {
-    total += w;
-  }
-  for (size_t i = 0; i < total; ++i) {
-    putchar('-');
-  }
-  printf("\n");
-}
-
-void Report::Row(const std::vector<std::string>& cells) {
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const size_t w = i < widths_.size() ? widths_[i] : 12;
-    printf("%-*s", static_cast<int>(w), cells[i].c_str());
-  }
-  printf("\n");
-  fflush(stdout);
-}
-
-void Report::Csv(const std::vector<std::string>& cells) {
-  printf("CSV,%s", figure_id_.c_str());
-  for (const std::string& c : cells) {
-    printf(",%s", c.c_str());
-  }
-  printf("\n");
-  fflush(stdout);
-}
-
-void Report::JsonRow(const std::vector<std::pair<std::string, std::string>>& strings,
-                     const std::vector<std::pair<std::string, double>>& numbers) {
-  std::string row = "{";
-  bool first = true;
-  for (const auto& [key, value] : strings) {
-    if (!first) {
-      row += ", ";
+void Report::Add(const std::vector<Field>& row) {
+  if (widths_.empty()) {
+    size_t total = 0;
+    for (const Field& field : row) {
+      widths_.push_back(field.name.size() < 12 ? 12 : field.name.size() + 2);
+      PrintCell(field.name, widths_.back());
+      total += widths_.back();
     }
-    first = false;
+    printf("\n%s\n", std::string(total, '-').c_str());
+  }
+  std::string json = "{";
+  for (size_t i = 0; i < row.size(); ++i) {
+    const Field& field = row[i];
+    const std::string value = field.is_number ? FormatNumber(field.number) : field.text;
+    PrintCell(value, i < widths_.size() ? widths_[i] : 12);
     // append() rather than an operator+ chain: GCC 12 at -O3 raises a
     // false -Wrestrict on the chain (GCC PR 105329).
-    row.append("\"").append(JsonEscape(key)).append("\": \"").append(JsonEscape(value));
-    row.append("\"");
-  }
-  for (const auto& [key, value] : numbers) {
-    if (!first) {
-      row += ", ";
+    json.append(i == 0 ? "\"" : ", \"").append(JsonEscape(field.name)).append("\": ");
+    if (field.is_number) {
+      json.append(value);
+    } else {
+      json.append("\"").append(JsonEscape(value)).append("\"");
     }
-    first = false;
-    char buf[64];
-    snprintf(buf, sizeof(buf), "%.6g", value);
-    row.append("\"").append(JsonEscape(key)).append("\": ").append(buf);
   }
-  row += "}";
-  json_rows_.push_back(std::move(row));
+  printf("\n");
+  fflush(stdout);
+  json_rows_.push_back(json + "}");
 }
 
 bool Report::WriteJson(const std::string& path) const {
@@ -140,12 +115,6 @@ bool Report::WriteJson(const std::string& path) const {
   fclose(f);
   printf("# wrote %zu JSON rows to %s\n", json_rows_.size(), path.c_str());
   return true;
-}
-
-std::string Report::Fmt(double v, int precision) {
-  char buf[64];
-  snprintf(buf, sizeof(buf), "%.*f", precision, v);
-  return buf;
 }
 
 }  // namespace flodb::bench

@@ -1,16 +1,17 @@
-// Figure-style output helpers: every bench binary prints a human-readable
-// table plus machine-readable CSV rows tagged with the figure id, so
-// results can be diffed against the paper's curves. With a JSON sink
-// attached (`--json out.json` on the bench command line, or the
-// FLODB_BENCH_JSON environment variable), the same data also lands in a
-// {"figure": ..., "rows": [...]} file for CI perf tracking
-// (ci/check_gates.py checks it against the gates in ci/gates.json).
+// Figure-style output for the bench binaries. Each result is recorded
+// once, as a row of named string and numeric fields (Report::Add): it is
+// printed as an aligned table line, with the first row's field names as
+// the header, and buffered as one JSON row. WriteJson then writes the
+// {"figure": ..., "rows": [...]} document that ci/check_gates.py checks
+// against the gates in ci/gates.json. The path comes from `--json <path>`
+// on the bench command line or the FLODB_BENCH_JSON environment variable.
 
 #ifndef FLODB_BENCH_UTIL_REPORT_H_
 #define FLODB_BENCH_UTIL_REPORT_H_
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -25,29 +26,34 @@ int64_t EnvInt(const char* name, int64_t def);
 // when neither is present.
 std::string JsonPathFromArgs(int argc, char** argv);
 
-// Prints "== <figure>: <title> ==" and remembers the figure id for rows.
+// One named cell of a result row: a string, or a number (printed and
+// emitted as %.6g).
+struct Field {
+  Field(std::string name, std::string text) : name(std::move(name)), text(std::move(text)) {}
+  template <typename Number>
+    requires std::is_arithmetic_v<Number>
+  Field(std::string name, Number number)
+      : name(std::move(name)), number(static_cast<double>(number)), is_number(true) {}
+
+  std::string name;
+  std::string text;
+  double number = 0;
+  bool is_number = false;
+};
+
+// Prints "== <figure>: <title> ==", then one table line per Add.
 class Report {
  public:
   Report(std::string figure_id, std::string title);
 
-  // Human-readable aligned columns.
-  void Header(const std::vector<std::string>& columns);
-  void Row(const std::vector<std::string>& cells);
+  // Records one result row: prints it as a table line (preceded by the
+  // header on the first call) and buffers it as a JSON row.
+  void Add(const std::vector<Field>& row);
 
-  // CSV line: "<figure_id>,<cells...>".
-  void Csv(const std::vector<std::string>& cells);
-
-  // Buffers one machine-readable row. Strings are JSON-escaped; numbers
-  // are emitted as-is.
-  void JsonRow(const std::vector<std::pair<std::string, std::string>>& strings,
-               const std::vector<std::pair<std::string, double>>& numbers);
-
-  // Writes {"figure": <id>, "rows": [<JsonRow>...]} to `path`. Returns
-  // false (with a message on stderr) if the file cannot be written. A
-  // no-op returning true when `path` is empty.
+  // Writes {"figure": <id>, "rows": [<row>...]} to `path`. Returns false
+  // (with a message on stderr) if the file cannot be written. A no-op
+  // returning true when `path` is empty.
   bool WriteJson(const std::string& path) const;
-
-  static std::string Fmt(double v, int precision = 3);
 
  private:
   std::string figure_id_;

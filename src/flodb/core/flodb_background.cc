@@ -325,8 +325,15 @@ void FloDB::PersistLoop() {
 
     Status persist_status;
     if (disk_ != nullptr) {
+      // Every retired log's records are in `old`, so once it is installed
+      // the MANIFEST names the first log past them: recovery then skips
+      // a retired log even if deleting it below fails.
+      const uint64_t log_number =
+          pending_wal_deletes_.empty()
+              ? 0
+              : *std::max_element(pending_wal_deletes_.begin(), pending_wal_deletes_.end()) + 1;
       MemTableIterator iter(old);
-      persist_status = disk_->AddRun(&iter);
+      persist_status = disk_->AddRun(&iter, log_number);
     }
     // else: memory-component-only mode (Figure 17) — drop the data.
 
@@ -386,9 +393,15 @@ Status FloDB::RecoverFromWal() {
   }
   std::sort(wal_numbers.begin(), wal_numbers.end());
 
+  // A log below the MANIFEST's log number was persisted before its
+  // deletion failed or was lost; replaying it would shadow newer data.
+  const uint64_t log_number = disk_ != nullptr ? disk_->LogNumber() : 0;
   uint64_t replayed = 0;
   MemTable* mtb = mtb_.load(std::memory_order_relaxed);
   for (uint64_t number : wal_numbers) {
+    if (number < log_number) {
+      continue;
+    }
     std::unique_ptr<SequentialFile> file;
     Status s = env->NewSequentialFile(WalFileName(number), &file);
     if (!s.ok()) {
@@ -405,10 +418,12 @@ Status FloDB::RecoverFromWal() {
     }
   }
 
+  const uint64_t next_log =
+      std::max<uint64_t>({1, log_number, wal_numbers.empty() ? 0 : wal_numbers.back() + 1});
   // Make the recovered state durable, then retire the old logs.
   if (replayed > 0 && disk_ != nullptr) {
     MemTableIterator iter(mtb);
-    Status s = disk_->AddRun(&iter);
+    Status s = disk_->AddRun(&iter, next_log);
     if (!s.ok()) {
       return s;
     }
@@ -419,7 +434,7 @@ Status FloDB::RecoverFromWal() {
     env->RemoveFile(WalFileName(number));
   }
 
-  return wal_.Open(wal_numbers.empty() ? 1 : wal_numbers.back() + 1);
+  return wal_.Open(next_log);
 }
 
 }  // namespace flodb

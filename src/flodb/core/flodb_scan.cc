@@ -1,4 +1,4 @@
-// FloDB scan protocol (Algorithm 3, §4.4) and its chunked iterator.
+// FloDB scan protocol (Algorithm 3, §4.4) and the fetch behind its ScanIterator.
 //
 // Master scan: pause draining and Memtable writers, swap in a fresh
 // Membuffer, fully drain the old one (writers help), take a scan sequence
@@ -207,7 +207,7 @@ std::unique_ptr<ScanIterator> FloDB::NewScanIterator(const ReadOptions& options,
     scans_.fetch_add(1, std::memory_order_relaxed);
   }
   ScanTicket ticket = BeginScan(options.snapshot_mode);
-  auto iter = std::make_unique<ChunkedScanIterator>(
+  auto iter = std::make_unique<ScanIterator>(
       low_key, options.scan_chunk_size,
       [this, ticket, high = high_key.ToString()](const Slice& start, bool exclusive, size_t limit,
                                                  std::vector<ScanEntry>* out) mutable {

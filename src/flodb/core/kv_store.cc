@@ -1,6 +1,6 @@
 // KVStore convenience layer: one-entry-batch Put/Delete wrappers, the
-// one-chunk Scan over NewScanIterator, and the chunk-buffering cursor
-// every store's NewScanIterator returns.
+// one-chunk Scan over NewScanIterator, and the chunk-buffering
+// ScanIterator every store returns.
 
 #include "flodb/core/kv_store.h"
 
@@ -8,19 +8,19 @@
 
 namespace flodb {
 
-ChunkedScanIterator::ChunkedScanIterator(const Slice& low_key, size_t chunk_size, Fetch fetch)
+ScanIterator::ScanIterator(const Slice& low_key, size_t chunk_size, Fetch fetch)
     : chunk_size_(chunk_size), fetch_(std::move(fetch)), resume_key_(low_key.ToString()) {
   FetchChunk(/*exclusive=*/false);
 }
 
-void ChunkedScanIterator::Next() {
+void ScanIterator::Next() {
   ++pos_;
   if (pos_ >= chunk_.size() && !finished_) {
     FetchChunk(/*exclusive=*/true);
   }
 }
 
-void ChunkedScanIterator::FetchChunk(bool exclusive) {
+void ScanIterator::FetchChunk(bool exclusive) {
   chunk_.clear();
   pos_ = 0;
   status_ = fetch_(Slice(resume_key_), exclusive, chunk_size_, &chunk_);

@@ -101,40 +101,6 @@ struct WriteOptions {
   bool fill_stats = true;
 };
 
-// Pull-based scan cursor. Usage:
-//
-//   auto it = store->NewScanIterator(opts, low, high);
-//   for (; it->Valid(); it->Next()) use(it->key(), it->value());
-//   if (!it->status().ok()) ...
-//
-// The iterator must not outlive the store. Results arrive in strictly
-// ascending key order with tombstones elided; each buffered chunk is
-// internally consistent, and consecutive chunks never move backwards in
-// time (see DESIGN.md §4 for the exact snapshot guarantee).
-class ScanIterator {
- public:
-  virtual ~ScanIterator() = default;
-
-  virtual bool Valid() const = 0;
-  virtual void Next() = 0;
-
-  // REQUIRES Valid(). Slices are valid until the next Next() call.
-  virtual Slice key() const = 0;
-  virtual Slice value() const = 0;
-
-  // Sequence number of the version this entry carries — the seq assigned
-  // when the winning update entered the Memtable (or was persisted).
-  // REQUIRES Valid().
-  virtual uint64_t seq() const = 0;
-
-  // Non-OK when the stream terminated on an error (iteration ends early).
-  virtual Status status() const = 0;
-
-  // Largest number of entries this iterator ever held in memory at once —
-  // the observable "streams without materializing" bound.
-  virtual size_t MaxBufferedEntries() const = 0;
-};
-
 // One live scan result: the winning version's key, value and seq.
 struct ScanEntry {
   std::string key;
@@ -142,11 +108,20 @@ struct ScanEntry {
   uint64_t seq = 0;
 };
 
-// The chunk-buffering cursor every store's NewScanIterator returns. It
-// holds at most one chunk and refills it through `fetch`, resuming just
-// past the last key it emitted; each chunk is whatever snapshot the store
-// took for that fetch (DESIGN.md §4).
-class ChunkedScanIterator final : public ScanIterator {
+// Pull-based scan cursor, the one every store's NewScanIterator returns.
+// Usage:
+//
+//   auto it = store->NewScanIterator(opts, low, high);
+//   for (; it->Valid(); it->Next()) use(it->key(), it->value());
+//   if (!it->status().ok()) ...
+//
+// The iterator must not outlive the store. Results arrive in strictly
+// ascending key order with tombstones elided. It holds at most one chunk
+// and refills it through `fetch`, resuming just past the last key it
+// emitted; each chunk is whatever snapshot the store took for that fetch,
+// internally consistent, and consecutive chunks never move backwards in
+// time (see DESIGN.md §4 for the exact snapshot guarantee).
+class ScanIterator final {
  public:
   // Fills *out with up to `limit` (0 = all) live entries of the store's
   // range in key order, starting at `start` — or just past it when
@@ -156,15 +131,26 @@ class ChunkedScanIterator final : public ScanIterator {
 
   // Fetches the first chunk (up to chunk_size entries, 0 = the whole
   // range) before returning.
-  ChunkedScanIterator(const Slice& low_key, size_t chunk_size, Fetch fetch);
+  ScanIterator(const Slice& low_key, size_t chunk_size, Fetch fetch);
 
-  bool Valid() const override { return pos_ < chunk_.size(); }
-  void Next() override;
-  Slice key() const override { return Slice(chunk_[pos_].key); }
-  Slice value() const override { return Slice(chunk_[pos_].value); }
-  uint64_t seq() const override { return chunk_[pos_].seq; }
-  Status status() const override { return status_; }
-  size_t MaxBufferedEntries() const override { return max_buffered_; }
+  bool Valid() const { return pos_ < chunk_.size(); }
+  void Next();
+
+  // REQUIRES Valid(). Slices are valid until the next Next() call.
+  Slice key() const { return Slice(chunk_[pos_].key); }
+  Slice value() const { return Slice(chunk_[pos_].value); }
+
+  // Sequence number of the version this entry carries — the seq assigned
+  // when the winning update entered the Memtable (or was persisted).
+  // REQUIRES Valid().
+  uint64_t seq() const { return chunk_[pos_].seq; }
+
+  // Non-OK when the stream terminated on an error (iteration ends early).
+  Status status() const { return status_; }
+
+  // Largest number of entries this iterator ever held in memory at once —
+  // the observable "streams without materializing" bound.
+  size_t MaxBufferedEntries() const { return max_buffered_; }
 
  private:
   void FetchChunk(bool exclusive);

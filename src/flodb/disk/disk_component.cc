@@ -190,7 +190,7 @@ std::shared_ptr<TableReader> DiskComponent::GetTable(uint64_t number, uint64_t f
   return table;
 }
 
-Status DiskComponent::AddRun(Iterator* iter) {
+Status DiskComponent::AddRun(Iterator* iter, uint64_t log_number) {
   // Backpressure: writers stall while L0 is saturated, like LevelDB's
   // level-0 stop trigger. (The persist thread calling us is the "writer"
   // here; user writers block on Memtable room upstream.)
@@ -266,6 +266,7 @@ Status DiskComponent::AddRun(Iterator* iter) {
 
   VersionEdit edit;
   edit.added.emplace_back(0, std::move(meta));
+  edit.log_number = log_number;
   s = versions_->LogAndApply(edit);
   if (!s.ok()) {
     return s;

@@ -72,7 +72,9 @@ class DiskComponent {
   // Writes the (key-ascending, per-key-deduplicated-by-first-wins) run
   // produced by `iter` as one L0 file and installs it. Blocks while L0 is
   // over the stall trigger (write backpressure, as in LevelDB/RocksDB).
-  Status AddRun(Iterator* iter);
+  // A non-zero `log_number` is recorded in the MANIFEST with the file:
+  // the first WAL whose records the run does not hold.
+  Status AddRun(Iterator* iter, uint64_t log_number = 0);
 
   // Point lookup across all levels; freshest version wins.
   Status Get(const Slice& key, std::string* value, uint64_t* seq, ValueType* type) const;
@@ -98,6 +100,7 @@ class DiskComponent {
   Status CompactRange(const Slice& begin, const Slice& end);
 
   uint64_t MaxPersistedSeq() const { return versions_->MaxPersistedSeq(); }
+  uint64_t LogNumber() const { return versions_->LogNumber(); }
 
   // The pinned current version — level shape for tests and diagnostics.
   std::shared_ptr<const Version> CurrentVersion() const { return versions_->Current(); }

@@ -116,6 +116,13 @@ Status FaultInjectionEnv::NewWritableFile(const std::string& fname,
 }
 
 Status FaultInjectionEnv::RemoveFile(const std::string& fname) {
+  {
+    MutexLock lock(mu_);
+    if (fail_remove_ &&
+        (fail_remove_substr_.empty() || fname.find(fail_remove_substr_) != std::string::npos)) {
+      return Status::IOError("injected RemoveFile failure: " + fname);
+    }
+  }
   Status s = base_->RemoveFile(fname);
   if (s.ok()) {
     MutexLock lock(mu_);
@@ -180,6 +187,12 @@ void FaultInjectionEnv::FailNewWritableFiles(bool enabled, const std::string& su
   fail_new_writable_substr_ = substr;
 }
 
+void FaultInjectionEnv::FailRemoveFiles(bool enabled, const std::string& substr) {
+  MutexLock lock(mu_);
+  fail_remove_ = enabled;
+  fail_remove_substr_ = substr;
+}
+
 void FaultInjectionEnv::FailAppendAfter(uint64_t n, bool torn, const std::string& substr) {
   MutexLock lock(mu_);
   appends_until_fail_ = static_cast<int64_t>(n);
@@ -202,6 +215,8 @@ void FaultInjectionEnv::ClearFaults() {
   MutexLock lock(mu_);
   fail_new_writable_ = false;
   fail_new_writable_substr_.clear();
+  fail_remove_ = false;
+  fail_remove_substr_.clear();
   appends_until_fail_ = -1;
   fail_append_substr_.clear();
   torn_append_ = false;

@@ -9,10 +9,10 @@
 //    DropUnsyncedFileData() truncates each file back to that prefix
 //    (removing files that were never synced at all), exactly what a
 //    power loss leaves behind;
-//  * fault knobs — fail NewWritableFile (optionally only for paths
-//    containing a substring, e.g. "wal-" or ".sst"), fail the Nth append
-//    (optionally writing a torn prefix first), fail fsyncs, and delay
-//    fsyncs to emulate a real device.
+//  * fault knobs — fail NewWritableFile or RemoveFile (optionally only
+//    for paths containing a substring, e.g. "wal-" or ".sst"), fail the
+//    Nth append (optionally writing a torn prefix first), fail fsyncs,
+//    and delay fsyncs to emulate a real device.
 //
 // Only files created through this Env are tracked; pre-existing files
 // are passed through untouched. Intended for tests and benchmarks, so
@@ -72,6 +72,10 @@ class FaultInjectionEnv final : public Env {
   // (every path when `substr` is empty).
   void FailNewWritableFiles(bool enabled, const std::string& substr = std::string());
 
+  // When enabled, RemoveFile fails (and leaves the file in place) for
+  // paths containing `substr` (every path when `substr` is empty).
+  void FailRemoveFiles(bool enabled, const std::string& substr = std::string());
+
   // The next `n` appends succeed; the one after fails — writing a torn
   // prefix of its data first when `torn` — and every later append fails
   // too until ClearFaults(). With a non-empty `substr`, only appends to
@@ -107,6 +111,8 @@ class FaultInjectionEnv final : public Env {
 
   bool fail_new_writable_ GUARDED_BY(mu_) = false;
   std::string fail_new_writable_substr_ GUARDED_BY(mu_);
+  bool fail_remove_ GUARDED_BY(mu_) = false;
+  std::string fail_remove_substr_ GUARDED_BY(mu_);
   // -1 = disabled; 0 = next append fires
   int64_t appends_until_fail_ GUARDED_BY(mu_) = -1;
   // non-empty: only matching paths count

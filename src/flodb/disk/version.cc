@@ -13,6 +13,11 @@ namespace {
 
 std::string CurrentFileName(const std::string& dbname) { return dbname + "/CURRENT"; }
 
+// Tags the optional log-number section that follows the levels section.
+// A value-log section, which older builds wrote in the same place, starts
+// with a file count that can never equal it.
+constexpr uint32_t kLogNumberTag = 0x4e474f4c;  // "LOGN"
+
 std::string ManifestFileName(const std::string& dbname, uint64_t number) {
   char buf[32];
   snprintf(buf, sizeof(buf), "/MANIFEST-%06llu", static_cast<unsigned long long>(number));
@@ -89,7 +94,7 @@ Status VersionSet::Recover() {
   if (!s.ok()) {
     // Fresh database: persist an empty snapshot so CURRENT exists.
     MutexLock lock(mu_);
-    return WriteSnapshot(*current_);
+    return WriteSnapshot(*current_, log_number_);
   }
   // Strip trailing newline.
   while (!current_contents.empty() && current_contents.back() == '\n') {
@@ -108,11 +113,13 @@ Status VersionSet::Recover() {
     return Status::Corruption("CURRENT names an invalid manifest number");
   }
   std::shared_ptr<Version> v;
-  s = LoadSnapshot(dbname_ + "/" + current_contents, &v);
+  uint64_t log_number = 0;
+  s = LoadSnapshot(dbname_ + "/" + current_contents, &v, &log_number);
   if (!s.ok()) {
     return s;
   }
   MutexLock lock(mu_);
+  log_number_ = log_number;
   manifest_number_ = live_manifest;
   current_manifest_number_ = live_manifest;
   current_ = std::move(v);
@@ -126,8 +133,9 @@ Status VersionSet::Recover() {
 //     fixed64 number | fixed64 size | fixed64 entries
 //     | fixed64 smallest_seq | fixed64 largest_seq
 //     | lp smallest | lp largest
+//   fixed32 kLogNumberTag | fixed64 log_number
 //   fixed32 masked crc of everything above
-Status VersionSet::WriteSnapshot(const Version& v) {
+Status VersionSet::WriteSnapshot(const Version& v, uint64_t log_number) {
   mu_.AssertHeld();
   std::string data;
   PutFixed64(&data, next_file_number_.load(std::memory_order_relaxed));
@@ -145,6 +153,8 @@ Status VersionSet::WriteSnapshot(const Version& v) {
       PutLengthPrefixedSlice(&data, Slice(f.largest));
     }
   }
+  PutFixed32(&data, kLogNumberTag);
+  PutFixed64(&data, log_number);
   PutFixed32(&data, crc32c::Mask(crc32c::Value(data.data(), data.size())));
 
   const uint64_t number = ++manifest_number_;
@@ -182,7 +192,8 @@ Status VersionSet::WriteSnapshot(const Version& v) {
   return Status::OK();
 }
 
-Status VersionSet::LoadSnapshot(const std::string& manifest_file, std::shared_ptr<Version>* out) {
+Status VersionSet::LoadSnapshot(const std::string& manifest_file, std::shared_ptr<Version>* out,
+                                uint64_t* log_number) {
   std::string data;
   Status s = ReadFileToString(env_, manifest_file, &data);
   if (!s.ok()) {
@@ -241,10 +252,17 @@ Status VersionSet::LoadSnapshot(const std::string& manifest_file, std::shared_pt
                 return Slice(a.smallest).compare(Slice(b.smallest)) < 0;
               });
   }
-  // A snapshot ends at the levels section. Older builds could append a
-  // value-log section here (value separation); its values live in files
-  // this build cannot read, so refuse the directory rather than open it
-  // with those values silently missing.
+  // The levels section is followed by the log number, or by nothing in a
+  // snapshot written before it was recorded (read as 0: replay every
+  // log). Older builds could append a value-log section here instead
+  // (value separation); its values live in files this build cannot read,
+  // so refuse the directory rather than open it with those values
+  // silently missing.
+  *log_number = 0;
+  if (in.size() == 12 && DecodeFixed32(in.data()) == kLogNumberTag) {
+    *log_number = DecodeFixed64(in.data() + 4);
+    in.remove_prefix(12);
+  }
   if (!in.empty()) {
     return Status::NotSupported(
         "manifest has bytes after the levels section: directories written with value "
@@ -281,10 +299,12 @@ Status VersionSet::LogAndApply(const VersionEdit& edit) {
     std::sort(l0.begin(), l0.end(),
               [](const FileMetaData& a, const FileMetaData& b) { return a.number < b.number; });
   }
-  Status s = WriteSnapshot(*next);
+  const uint64_t log_number = edit.log_number != 0 ? edit.log_number : log_number_;
+  Status s = WriteSnapshot(*next, log_number);
   if (!s.ok()) {
     return s;
   }
+  log_number_ = log_number;
   current_ = std::move(next);
   RegisterVersionLocked(current_);
   return Status::OK();
@@ -293,6 +313,11 @@ Status VersionSet::LogAndApply(const VersionEdit& edit) {
 uint64_t VersionSet::CurrentManifestNumber() const {
   MutexLock lock(mu_);
   return current_manifest_number_;
+}
+
+uint64_t VersionSet::LogNumber() const {
+  MutexLock lock(mu_);
+  return log_number_;
 }
 
 uint64_t VersionSet::MaxPersistedSeq() const {

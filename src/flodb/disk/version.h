@@ -78,6 +78,9 @@ class Version {
 struct VersionEdit {
   std::vector<std::pair<int, FileMetaData>> added;
   std::vector<std::pair<int, uint64_t>> deleted;  // (level, file number)
+  // Non-zero: the first WAL whose records are not yet persisted
+  // (LevelDB's SetLogNumber). Zero leaves the recorded number as it is.
+  uint64_t log_number = 0;
 };
 
 class VersionSet {
@@ -116,6 +119,10 @@ class VersionSet {
   // Recovery needs to seed the sequence counter past everything on disk.
   uint64_t MaxPersistedSeq() const;
 
+  // The MANIFEST's log number: every WAL numbered below it is persisted,
+  // so recovery skips and deletes those logs. 0 when none was recorded.
+  uint64_t LogNumber() const;
+
   // File numbers referenced by the current version.
   std::set<uint64_t> LiveFileNumbers() const;
 
@@ -135,8 +142,9 @@ class VersionSet {
  private:
   // Persists `v` as a fresh manifest and repoints CURRENT. Bumps
   // manifest_number_/current_manifest_number_, hence the lock.
-  Status WriteSnapshot(const Version& v) REQUIRES(mu_);
-  Status LoadSnapshot(const std::string& manifest_file, std::shared_ptr<Version>* out);
+  Status WriteSnapshot(const Version& v, uint64_t log_number) REQUIRES(mu_);
+  Status LoadSnapshot(const std::string& manifest_file, std::shared_ptr<Version>* out,
+                      uint64_t* log_number);
 
   Env* const env_;
   const std::string dbname_;
@@ -149,6 +157,7 @@ class VersionSet {
   mutable Mutex mu_;
   std::shared_ptr<const Version> current_ GUARDED_BY(mu_);
   std::vector<std::weak_ptr<const Version>> registry_ GUARDED_BY(mu_);
+  uint64_t log_number_ GUARDED_BY(mu_) = 0;
   std::atomic<uint64_t> next_file_number_{1};
   // last number handed to a snapshot write
   uint64_t manifest_number_ GUARDED_BY(mu_) = 0;

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <memory>
+#include <sstream>
+#include <string>
 
 #include "flodb/bench_util/driver.h"
 #include "flodb/bench_util/latency.h"
@@ -138,6 +141,68 @@ TEST(ReportTest, EnvOverrides) {
   EXPECT_EQ(EnvInt("FLODB_TEST_ENV_I", 7), 42);
   EXPECT_DOUBLE_EQ(EnvDouble("FLODB_TEST_ENV_MISSING", 1.25), 1.25);
   EXPECT_EQ(EnvInt("FLODB_TEST_ENV_MISSING", 9), 9);
+}
+
+// The JSON document `report` writes, read back.
+std::string WrittenJson(const Report& report) {
+  const std::string path = ::testing::TempDir() + "report_test.json";
+  EXPECT_TRUE(report.WriteJson(path));
+  std::ifstream in(path);
+  std::stringstream contents;
+  contents << in.rdbuf();
+  return contents.str();
+}
+
+TEST(ReportTest, OneAddPrintsTheTableLineAndBuffersTheJsonRow) {
+  testing::internal::CaptureStdout();
+  Report report("fig_test", "title");
+  report.Add({{"store", "FloDB"}, {"threads", 2}, {"mops", 1.5}});
+  report.Add({{"store", "LevelDB"}, {"threads", 4}, {"mops", 0.25}});
+  const std::string table = testing::internal::GetCapturedStdout();
+  // Columns come from the first row's names, each at least 12 wide; the
+  // header is printed once.
+  EXPECT_EQ(table,
+            "\n== fig_test: title ==\n"
+            "store       threads     mops        \n" +
+                std::string(36, '-') +
+                "\n"
+                "FloDB       2           1.5         \n"
+                "LevelDB     4           0.25        \n");
+  EXPECT_EQ(WrittenJson(report),
+            "{\"figure\": \"fig_test\", \"rows\": [\n"
+            "  {\"store\": \"FloDB\", \"threads\": 2, \"mops\": 1.5},\n"
+            "  {\"store\": \"LevelDB\", \"threads\": 4, \"mops\": 0.25}\n"
+            "]}\n");
+}
+
+TEST(ReportTest, JsonStringsAreEscaped) {
+  testing::internal::CaptureStdout();
+  Report report("fig_test", "title");
+  report.Add({{"na\"me", "quote\" backslash\\ newline\n"}});
+  testing::internal::GetCapturedStdout();
+  EXPECT_EQ(WrittenJson(report),
+            "{\"figure\": \"fig_test\", \"rows\": [\n"
+            "  {\"na\\\"me\": \"quote\\\" backslash\\\\ newline\\n\"}\n"
+            "]}\n");
+}
+
+TEST(ReportTest, NumbersPrintAsSixSignificantDigits) {
+  testing::internal::CaptureStdout();
+  Report report("fig_test", "title");
+  report.Add({{"big", 1234567.0}, {"small", 0.1234567}, {"count", uint64_t{42}}});
+  const std::string table = testing::internal::GetCapturedStdout();
+  EXPECT_NE(table.find("1.23457e+06 0.123457    42"), std::string::npos) << table;
+  EXPECT_NE(WrittenJson(report).find("{\"big\": 1.23457e+06, \"small\": 0.123457, \"count\": 42}"),
+            std::string::npos);
+}
+
+TEST(ReportTest, WriteJsonSkipsAnEmptyPathAndReportsAnUnwritableOne) {
+  testing::internal::CaptureStdout();
+  Report report("fig_test", "title");
+  report.Add({{"threads", 1}});
+  EXPECT_TRUE(report.WriteJson(""));
+  EXPECT_FALSE(report.WriteJson(::testing::TempDir() + "no-such-dir/out.json"));
+  testing::internal::GetCapturedStdout();
 }
 
 TEST(DriverTest, RunsWorkloadAndCounts) {

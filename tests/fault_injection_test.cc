@@ -259,6 +259,37 @@ TEST(FaultInjectionTest, FailedPersistRetainsWalAndRetries) {
   }
 }
 
+// A persisted log whose unlink fails must not be replayed at the next
+// open: its records would take fresh seqs above every persisted one and
+// shadow newer values. The MANIFEST's log number makes recovery skip and
+// delete it.
+TEST(FaultInjectionTest, FailedWalUnlinkIsNotReplayedOverNewerData) {
+  MemEnv base;
+  FaultInjectionEnv fault(&base);
+  const FloDbOptions options = FaultOptions(&fault);
+  std::unique_ptr<FloDB> db;
+  ASSERT_TRUE(FloDB::Open(options, &db).ok());
+  WriteOptions synced;
+  synced.sync = true;
+
+  fault.FailRemoveFiles(true, "wal-000001.log");
+  ASSERT_TRUE(db->Put(synced, Slice(K(1)), Slice("v1")).ok());
+  ASSERT_TRUE(db->FlushAll().ok());
+  ASSERT_TRUE(base.FileExists("/db/wal-000001.log")) << "the injected unlink fault did not fire";
+  fault.ClearFaults();
+  ASSERT_TRUE(db->Put(synced, Slice(K(1)), Slice("v2")).ok());
+  ASSERT_TRUE(db->FlushAll().ok());
+
+  std::string value;
+  ASSERT_TRUE(db->Get(Slice(K(1)), &value).ok());
+  EXPECT_EQ(value, "v2");
+  db.reset();
+  ASSERT_TRUE(FloDB::Open(options, &db).ok());
+  ASSERT_TRUE(db->Get(Slice(K(1)), &value).ok());
+  EXPECT_EQ(value, "v2") << "the stale log was replayed over the persisted value";
+  EXPECT_FALSE(base.FileExists("/db/wal-000001.log")) << "recovery kept the stale log";
+}
+
 TEST(FaultInjectionTest, CrashDuringFailedPersistRecoversFromRetainedWal) {
   MemEnv base;
   FaultInjectionEnv fault(&base);

@@ -208,9 +208,46 @@ TEST_F(VersionSetTest, ValueLogManifestSectionRefused) {
   EXPECT_NE(s.ToString().find("value separation"), std::string::npos) << s.ToString();
 }
 
+TEST_F(VersionSetTest, LogNumberPersistsAcrossRecover) {
+  ASSERT_TRUE(versions_.Recover().ok());
+  EXPECT_EQ(versions_.LogNumber(), 0u);
+  VersionEdit edit;
+  edit.added.emplace_back(0, MakeFile(1, 100, 200));
+  edit.log_number = 5;
+  ASSERT_TRUE(versions_.LogAndApply(edit).ok());
+  VersionEdit keep;  // log_number 0 leaves it as it is
+  keep.added.emplace_back(0, MakeFile(2, 300, 400));
+  ASSERT_TRUE(versions_.LogAndApply(keep).ok());
+  EXPECT_EQ(versions_.LogNumber(), 5u);
+
+  VersionSet reopened(&env_, "/db", 7);
+  ASSERT_TRUE(reopened.Recover().ok());
+  EXPECT_EQ(reopened.LogNumber(), 5u);
+  EXPECT_EQ(reopened.Current()->NumFiles(), 2);
+}
+
+// A snapshot written before the log number was recorded ends at its
+// levels section; it opens with log number 0, so every log replays.
+TEST_F(VersionSetTest, ManifestWithoutLogNumberReadsZero) {
+  std::string data;
+  PutFixed64(&data, 9);  // next_file_number
+  PutFixed32(&data, 7);  // num_levels
+  for (int level = 0; level < 7; ++level) {
+    PutFixed32(&data, 0);  // no tables
+  }
+  PutFixed32(&data, crc32c::Mask(crc32c::Value(data.data(), data.size())));
+  ASSERT_TRUE(WriteStringToFile(&env_, Slice(data), "/db/MANIFEST-000001", true).ok());
+  ASSERT_TRUE(WriteStringToFile(&env_, Slice("MANIFEST-000001\n"), "/db/CURRENT", true).ok());
+
+  ASSERT_TRUE(versions_.Recover().ok());
+  EXPECT_EQ(versions_.LogNumber(), 0u);
+  EXPECT_EQ(versions_.PeekFileNumber(), 9u);
+}
+
 // The MANIFEST snapshot a default store writes after one flush, pinned so
 // the format cannot drift: a directory written by one build must open
-// under the next.
+// under the next. The store runs without a WAL, so the trailing
+// log-number section carries 0.
 TEST(ManifestGoldenTest, DefaultStoreSnapshotBytes) {
   MemEnv env;
   FloDbOptions options;
@@ -238,7 +275,8 @@ TEST(ManifestGoldenTest, DefaultStoreSnapshotBytes) {
       0x00, 0x00, 0x00, 0x00, 0x01, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
       0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x00, 0x00, 0xc6, 0x36, 0x76, 0x8f};
+      0x00, 0x00, 0x4c, 0x4f, 0x47, 0x4e, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x15, 0xe3, 0xf6, 0xbf};
   EXPECT_EQ(std::vector<uint8_t>(contents.begin(), contents.end()), golden);
 }
 
