@@ -97,7 +97,7 @@ def stale_knobs(root):
 
 
 # `top/dir/name.ext`, `top/*.ext` or `top/name.ext:123`; the extension
-# keeps extensionless names such as `bench/micro_datastructures` out.
+# keeps extensionless names such as `bench/fig09_write_only` out.
 PATH_RE = re.compile(r"`(\.?\w[\w.-]*/[\w*./-]*\.\w+)(?::[\d-]+)?`")
 
 

@@ -45,8 +45,8 @@ TABLE = os.path.join(ROOT, "ci", "gates.json")
 OPS = {"<=": operator.le, "==": operator.eq, ">=": operator.ge, ">": operator.gt}
 
 # Columns that name a row in the figures' sweeps, for the printed label.
-ID_COLUMNS = ("store", "mode", "dist", "threads", "batch", "cache_bytes", "scan_pct", "scan_len",
-              "memory_kb")
+ID_COLUMNS = ("store", "layer", "mode", "dist", "threads", "batch", "cache_bytes", "scan_pct",
+              "scan_len", "memory_kb")
 
 
 def load_json(path):

@@ -44,6 +44,11 @@ IN_RUN = {
         {"store": "FloDB", "scan_len": scan_len, "memory_kb": 512, "threads": 4,
          "fallback_pct": pct}
         for scan_len, pct in ((10, 0.0), (100, 0.05), (1000, 0.29))],
+    "micro_ledger": [
+        {"layer": layer, "ns_per_op": ns, "ref": ref, "ref_ns_per_op": ref_ns,
+         "ratio": ns / ref_ns}
+        for layer, ns, ref, ref_ns in (("crc32c_4k", 559.0, "memcpy_4k", 53.9),
+                                       ("bloom_probe", 45.3, "hash32_key", 15.2))],  # ungated
 }
 
 

@@ -1,5 +1,8 @@
 #include "flodb/disk/wal.h"
 
+#include <algorithm>
+#include <cstring>
+
 #include "flodb/common/clock.h"
 #include "flodb/common/coding.h"
 #include "flodb/core/write_batch.h"
@@ -10,6 +13,9 @@ namespace flodb {
 namespace {
 
 constexpr size_t kHeaderSize = 8;  // fixed32 masked_crc | fixed32 length
+
+// Largest body read ReadRecord makes at a time.
+constexpr size_t kReadChunk = 64u << 10;
 
 }  // namespace
 
@@ -243,18 +249,26 @@ bool WalReader::ReadRecord(std::string* payload) {
   }
   const uint32_t expected_crc = crc32c::Unmask(DecodeFixed32(h.data()));
   const uint32_t length = DecodeFixed32(h.data() + 4);
-  payload->resize(length);
-  Slice body;
-  status_ = file_->Read(length, &body, payload->data());
-  if (!status_.ok()) {
-    return false;
-  }
-  if (body.size() < length) {
-    // Truncated tail: the record was being written when we crashed.
-    return false;
-  }
-  if (body.data() != payload->data()) {
-    payload->assign(body.data(), body.size());
+  // The CRC does not cover the length, so it is not trusted with an
+  // allocation: the body is read in bounded chunks, and a corrupt length
+  // runs into the end of the file before the buffer outgrows its bytes.
+  payload->clear();
+  while (payload->size() < length) {
+    const size_t offset = payload->size();
+    const size_t want = std::min<size_t>(length - offset, kReadChunk);
+    payload->resize(offset + want);
+    Slice chunk;
+    status_ = file_->Read(want, &chunk, payload->data() + offset);
+    if (!status_.ok()) {
+      return false;
+    }
+    if (chunk.data() != payload->data() + offset) {
+      memcpy(payload->data() + offset, chunk.data(), chunk.size());
+    }
+    if (chunk.size() < want) {
+      // Truncated tail: the record was being written when we crashed.
+      return false;
+    }
   }
   const uint32_t actual_crc = crc32c::Value(payload->data(), payload->size());
   if (actual_crc != expected_crc) {

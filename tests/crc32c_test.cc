@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <random>
 #include <string>
+#include <utility>
 
 namespace flodb {
 namespace {
@@ -48,6 +50,61 @@ TEST(Crc32cTest, MaskChangesValue) {
 
 TEST(Crc32cTest, EmptyInput) {
   EXPECT_EQ(crc32c::Value("", 0), 0u);
+}
+
+// Extend may run a hardware path; the portable table loop is the oracle
+// it must agree with on every length, alignment and chaining.
+std::string RandomBytes(std::mt19937_64* rng, size_t n) {
+  std::string s(n, '\0');
+  for (char& c : s) {
+    c = static_cast<char>((*rng)() & 0xff);
+  }
+  return s;
+}
+
+TEST(Crc32cTest, MatchesPortableOverRandomLengths) {
+  std::mt19937_64 rng(301);
+  for (int i = 0; i < 200; ++i) {
+    const size_t n = rng() % ((64u << 10) + 1);
+    const std::string data = RandomBytes(&rng, n);
+    const auto init = static_cast<uint32_t>(rng());
+    SCOPED_TRACE("length " + std::to_string(n));
+    EXPECT_EQ(crc32c::Extend(init, data.data(), n), crc32c::ExtendPortable(init, data.data(), n));
+    EXPECT_EQ(crc32c::Value(data.data(), n), crc32c::ExtendPortable(0, data.data(), n));
+  }
+}
+
+TEST(Crc32cTest, MatchesPortableAtEveryStartOffset) {
+  std::mt19937_64 rng(302);
+  const std::string data = RandomBytes(&rng, 4096 + 8);
+  const size_t lengths[] = {0, 1, 7, 8, 9, 63, 4093, 4096};
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t n : lengths) {
+      SCOPED_TRACE("offset " + std::to_string(offset) + " length " + std::to_string(n));
+      EXPECT_EQ(crc32c::Value(data.data() + offset, n),
+                crc32c::ExtendPortable(0, data.data() + offset, n));
+    }
+  }
+}
+
+TEST(Crc32cTest, ChainedSplitsMatchPortable) {
+  std::mt19937_64 rng(303);
+  for (int i = 0; i < 200; ++i) {
+    const size_t n = rng() % 8192;
+    const std::string data = RandomBytes(&rng, n);
+    const uint32_t whole = crc32c::ExtendPortable(0, data.data(), n);
+    // Two- and three-way splits at random cut points.
+    size_t a = rng() % (n + 1);
+    size_t b = rng() % (n + 1);
+    if (a > b) {
+      std::swap(a, b);
+    }
+    SCOPED_TRACE("cuts " + std::to_string(a) + " " + std::to_string(b) + " " + std::to_string(n));
+    EXPECT_EQ(crc32c::Extend(crc32c::Value(data.data(), a), data.data() + a, n - a), whole);
+    const uint32_t first = crc32c::Value(data.data(), a);
+    const uint32_t second = crc32c::Extend(first, data.data() + a, b - a);
+    EXPECT_EQ(crc32c::Extend(second, data.data() + b, n - b), whole);
+  }
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include "flodb/common/coding.h"
 #include "flodb/core/write_batch.h"
+#include "flodb/disk/crc32c.h"
 #include "flodb/disk/mem_env.h"
 
 namespace flodb {
@@ -108,6 +109,23 @@ TEST_F(WalTest, TruncatedTailStopsCleanly) {
       [&](const Slice&, const Slice&, ValueType) { ++count; });
   EXPECT_TRUE(s.ok()) << "truncated tail is a clean end, not corruption: " << s.ToString();
   EXPECT_EQ(count, 1);
+}
+
+// The length field is outside the CRC. A header that declares ~4 GiB
+// over a 16-byte body is a truncated tail, and replay must not size its
+// buffer by the declared length.
+TEST_F(WalTest, CorruptLengthDoesNotAllocateDeclaredSize) {
+  std::string data(8, '\0');
+  EncodeFixed32(data.data(), crc32c::Mask(0));
+  EncodeFixed32(data.data() + 4, 0xFFFFFFF0u);
+  data.append(16, 'x');
+  ASSERT_TRUE(WriteStringToFile(&env_, Slice(data), "/bad-length", false).ok());
+
+  auto reader = NewReader("/bad-length");
+  std::string payload;
+  EXPECT_FALSE(reader->ReadRecord(&payload));
+  EXPECT_TRUE(reader->status().ok()) << reader->status().ToString();
+  EXPECT_LT(payload.capacity(), size_t{1} << 20);
 }
 
 TEST_F(WalTest, CorruptPayloadIsDetected) {
