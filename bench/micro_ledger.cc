@@ -9,6 +9,8 @@
 //   skiplist_insert  std_map_insert   the Memtable vs a serial sorted map
 //   wal_encode       memcpy_record    framing + CRC vs copying the frame
 //   resp_parse_set   memcpy_frame     parsing a SET vs copying its bytes
+//   disk_get_hot     table_get_hot    the disk component's Get vs the
+//                                     table lookup it ends in
 //
 // Each side's ns_per_op is the best of kTrials trials, the two sides
 // alternating. ci/gates.json bounds crc32c_4k's ratio, which is about 10
@@ -27,11 +29,16 @@
 #include "flodb/common/hash.h"
 #include "flodb/common/key_codec.h"
 #include "flodb/common/random.h"
+#include "flodb/core/memtable_iterator.h"
 #include "flodb/core/write_batch.h"
 #include "flodb/disk/bloom.h"
 #include "flodb/disk/crc32c.h"
+#include "flodb/disk/disk_component.h"
+#include "flodb/disk/mem_env.h"
+#include "flodb/disk/table_reader.h"
 #include "flodb/disk/wal.h"
 #include "flodb/mem/membuffer.h"
+#include "flodb/mem/memtable.h"
 #include "flodb/mem/skiplist.h"
 #include "flodb/net/resp.h"
 
@@ -204,6 +211,63 @@ void LedgerResp(Report* report) {
          Timed{1'000'000, kNoReset, CopyOp(frame, &copy)});
 }
 
+// One flushed run of 20,000 keys; the 64 hot keys sit in 64 different
+// blocks, all cached. The reference opens its own reader over the same
+// file with an equal block cache, so both sides hit the cache every time
+// and the ratio is what the disk component adds around the table lookup.
+void LedgerDiskGet(Report* report) {
+  constexpr uint64_t kKeys = 20'000;
+  constexpr uint64_t kHot = 64;
+  MemEnv env;
+  DiskOptions options;
+  options.env = &env;
+  options.path = "/ledger";
+  options.compaction_threads = 0;
+  std::unique_ptr<DiskComponent> disk;
+  if (!DiskComponent::Open(options, &disk).ok()) {
+    return;
+  }
+  KeyBuf buf;
+  {
+    MemTable table(64u << 20);
+    const std::string value(kValueBytes, 'v');
+    for (uint64_t k = 0; k < kKeys; ++k) {
+      table.Add(buf.Set(k), Slice(value), k + 1, ValueType::kValue);
+    }
+    MemTableIterator iter(&table);
+    if (!disk->AddRun(&iter).ok()) {
+      return;
+    }
+  }
+  std::string fname;
+  std::vector<std::string> children;
+  env.GetChildren(options.path, &children);
+  for (const std::string& name : children) {
+    if (name.size() > 4 && name.substr(name.size() - 4) == ".sst") {
+      fname = options.path + "/" + name;
+    }
+  }
+  uint64_t file_size = 0;
+  std::unique_ptr<RandomAccessFile> file;
+  ShardedLruCache cache(options.block_cache_bytes);
+  TableReader::Options reader_options;
+  reader_options.block_cache = &cache;
+  std::unique_ptr<TableReader> reader;
+  if (!env.GetFileSize(fname, &file_size).ok() || !env.NewRandomAccessFile(fname, &file).ok() ||
+      !TableReader::Open(std::move(file), file_size, reader_options, &reader).ok()) {
+    return;
+  }
+  std::string value;
+  auto disk_get = [&](uint64_t i) {
+    Keep(disk->Get(buf.Set((i % kHot) * (kKeys / kHot)), &value, nullptr, nullptr).ok());
+  };
+  auto table_get = [&](uint64_t i) {
+    Keep(reader->Get(buf.Set((i % kHot) * (kKeys / kHot)), &value, nullptr, nullptr).ok());
+  };
+  AddRow(report, "disk_get_hot", Timed{200'000, kNoReset, disk_get}, "table_get_hot",
+         Timed{200'000, kNoReset, table_get});
+}
+
 }  // namespace
 }  // namespace flodb::bench
 
@@ -215,5 +279,6 @@ int main(int argc, char** argv) {
   LedgerMemory(&report);
   LedgerWal(&report);
   LedgerResp(&report);
+  LedgerDiskGet(&report);
   return report.WriteJson(JsonPathFromArgs(argc, argv)) ? 0 : 1;
 }

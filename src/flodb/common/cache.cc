@@ -101,9 +101,8 @@ struct ShardedLruCache::Shard {
   }
 
   // Runs deleters outside the shard lock: a deleter may be arbitrarily
-  // expensive (a TableReader teardown purges its blocks from another
-  // cache), and holding a spinlock across it would stall every reader on
-  // the shard.
+  // expensive, and holding a spinlock across it would stall every reader
+  // on the shard.
   static void RunDeleters(const std::vector<LRUHandle*>& garbage) {
     for (LRUHandle* e : garbage) {
       (*e->deleter)(Slice(e->key), e->value);
@@ -112,27 +111,13 @@ struct ShardedLruCache::Shard {
   }
 };
 
-namespace {
-
-int ClampShardCount(int requested) {
-  int shards = 1;
-  while (shards * 2 <= requested && shards * 2 <= ShardedLruCache::kNumShards) {
-    shards *= 2;
-  }
-  return shards;
-}
-
-}  // namespace
-
-ShardedLruCache::ShardedLruCache(size_t capacity, int num_shards)
-    : capacity_(capacity),
-      num_shards_(ClampShardCount(num_shards)),
-      shards_(new Shard[static_cast<size_t>(num_shards_)]) {
+ShardedLruCache::ShardedLruCache(size_t capacity)
+    : capacity_(capacity), shards_(new Shard[kNumShards]) {
   // Distribute capacity exactly: floor per shard, with the remainder
   // spread one unit each over the first shards, so the shard capacities
   // sum to the configured total (the aggregate bound is never inflated
   // by rounding).
-  const size_t shards = static_cast<size_t>(num_shards_);
+  const size_t shards = kNumShards;
   const size_t base = capacity / shards;
   const size_t remainder = capacity % shards;
   for (size_t i = 0; i < shards; ++i) {
@@ -142,7 +127,7 @@ ShardedLruCache::ShardedLruCache(size_t capacity, int num_shards)
 
 ShardedLruCache::~ShardedLruCache() {
   std::vector<LRUHandle*> garbage;
-  for (int i = 0; i < num_shards_; ++i) {
+  for (int i = 0; i < kNumShards; ++i) {
     Shard& shard = shards_[i];
     // No callers may hold handles at destruction time; every resident
     // entry therefore sits in lru_ with only the cache's reference.
@@ -161,7 +146,7 @@ ShardedLruCache::~ShardedLruCache() {
 size_t ShardedLruCache::ShardOf(const Slice& key) const {
   // Seeded differently from the Membuffer/bloom consumers so shard
   // placement decorrelates from every other hash user of the same key.
-  return Hash64(key, /*seed=*/0xcac4eb10cULL) & static_cast<uint64_t>(num_shards_ - 1);
+  return Hash64(key, /*seed=*/0xcac4eb10cULL) & static_cast<uint64_t>(kNumShards - 1);
 }
 
 ShardedLruCache::Handle* ShardedLruCache::Insert(const Slice& key, void* value, size_t charge,
@@ -244,8 +229,8 @@ void ShardedLruCache::Release(Handle* handle) {
     } else if (e->in_cache && e->refs == 1) {
       // Last handle on a resident entry: demote to the evictable list,
       // then honor capacity immediately rather than waiting for the next
-      // Insert (the table cache pins entries across whole reads; this
-      // keeps its bound tight).
+      // Insert (iterators pin blocks across whole scans; this keeps the
+      // bound tight).
       Shard::ListRemove(e);
       Shard::ListAppend(&shard.lru, e);
       shard.pinned_usage -= e->charge;
@@ -273,7 +258,7 @@ void ShardedLruCache::Erase(const Slice& key) {
 
 size_t ShardedLruCache::TotalCharge() const {
   size_t total = 0;
-  for (int i = 0; i < num_shards_; ++i) {
+  for (int i = 0; i < kNumShards; ++i) {
     Shard& shard = shards_[i];
     SpinLockHolder guard(shard.mu);
     total += shard.usage;
@@ -283,7 +268,7 @@ size_t ShardedLruCache::TotalCharge() const {
 
 size_t ShardedLruCache::TotalEntries() const {
   size_t total = 0;
-  for (int i = 0; i < num_shards_; ++i) {
+  for (int i = 0; i < kNumShards; ++i) {
     Shard& shard = shards_[i];
     SpinLockHolder guard(shard.mu);
     total += shard.table.size();
@@ -299,7 +284,7 @@ size_t ShardedLruCache::ShardCharge(size_t shard) const {
 
 ShardedLruCache::Stats ShardedLruCache::GetStats() const {
   Stats stats;
-  for (int i = 0; i < num_shards_; ++i) {
+  for (int i = 0; i < kNumShards; ++i) {
     Shard& shard = shards_[i];
     SpinLockHolder guard(shard.mu);
     stats.hits += shard.hits;

@@ -8,11 +8,10 @@
 // eviction or Erase — until every handle is Released, so a reader is
 // never left holding freed block bytes.
 //
-// Two instantiations serve the read path (DESIGN.md §9):
-//  * the block cache — values are decoded SSTable blocks, charged by
-//    byte size, keyed (file_number, block_index);
-//  * the table cache — values are open TableReaders, charged 1 each,
-//    keyed by file number, so the set of open tables is bounded.
+// The disk component keeps one instance, the block cache (DESIGN.md §9):
+// values are decoded SSTable blocks, charged by byte size, keyed
+// (file_number, block_index). Open tables need no cache: each live table
+// stays open in the Versions that name it.
 //
 // A zero-capacity cache degenerates to a pass-through: Lookup always
 // misses and Insert hands back a self-owned handle that is freed on
@@ -47,13 +46,9 @@ class ShardedLruCache {
 
   static constexpr int kNumShards = 16;
 
-  // `num_shards` rounds down to a power of two in [1, kNumShards].
-  // Capacity distributes exactly across shards (floor + spread
-  // remainder), so the aggregate bound is never inflated; use fewer
-  // shards when capacity is counted in small units (the table cache
-  // charges 1 per entry), or shards with a zero slice of a tiny budget
-  // would never retain anything.
-  explicit ShardedLruCache(size_t capacity, int num_shards = kNumShards);
+  // Capacity distributes exactly across the shards (floor + spread
+  // remainder), so the aggregate bound is never inflated.
+  explicit ShardedLruCache(size_t capacity);
   ~ShardedLruCache();
 
   ShardedLruCache(const ShardedLruCache&) = delete;
@@ -80,7 +75,6 @@ class ShardedLruCache {
   void Erase(const Slice& key);
 
   size_t capacity() const { return capacity_; }
-  int num_shards() const { return num_shards_; }
   size_t TotalCharge() const;
   size_t TotalEntries() const;
   Stats GetStats() const;
@@ -94,8 +88,7 @@ class ShardedLruCache {
   struct Shard;
 
   const size_t capacity_;
-  const int num_shards_;
-  Shard* shards_;  // array of num_shards_
+  Shard* shards_;  // array of kNumShards
 };
 
 // RAII wrapper releasing a handle on scope exit (move-only).

@@ -65,7 +65,7 @@ class CompactionPicker {
 
 // Bloom bits per key for a level: 12 for L0/L1 (every point read probes
 // them), 10 for L2/L3, 6 for deeper cold levels — their files are large,
-// rarely probed, and filter bytes there crowd the table cache.
+// rarely probed, and every open table keeps its filter in memory.
 int BloomBitsForLevel(int level);
 
 }  // namespace flodb

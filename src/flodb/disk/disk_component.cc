@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "flodb/common/coding.h"
 #include "flodb/disk/level_iterator.h"
 #include "flodb/disk/merging_iterator.h"
 #include "flodb/disk/table_builder.h"
@@ -65,13 +64,6 @@ Status DiskComponent::Open(const DiskOptions& options, std::unique_ptr<DiskCompo
   if (options.env == nullptr || options.path.empty()) {
     return Status::InvalidArgument("DiskOptions requires env and path");
   }
-  if (options.table_cache_entries == 0) {
-    // Without any open-table reuse every Get would reopen (and re-read
-    // the index + bloom filter of) its file; reject the footgun instead
-    // of silently crawling. block_cache_bytes == 0 stays valid: it only
-    // turns off block caching.
-    return Status::InvalidArgument("table_cache_entries must be >= 1");
-  }
   // One listing serves three checks. Older builds could move large values
   // into *.vlog files (value separation); this build reads values inline
   // only, so opening such a directory would silently lose every separated
@@ -107,14 +99,10 @@ Status DiskComponent::Open(const DiskOptions& options, std::unique_ptr<DiskCompo
   if (options.block_cache_bytes > 0) {
     dc->block_cache_ = std::make_unique<ShardedLruCache>(options.block_cache_bytes);
   }
-  // Entry-charged cache: cap the shard count by the entry budget so no
-  // shard ends up with a zero slice of a small open-table bound.
-  dc->table_cache_ = std::make_unique<ShardedLruCache>(
-      options.table_cache_entries,
-      static_cast<int>(std::min<size_t>(options.table_cache_entries, ShardedLruCache::kNumShards)));
   dc->versions_ =
       std::make_unique<VersionSet>(options.env, options.path, options.num_levels);
-  Status s = dc->versions_->Recover();
+  Status s =
+      dc->versions_->Recover([raw = dc.get()](FileMetaData* f) { return raw->OpenTable(f); });
   if (!s.ok()) {
     return s;
   }
@@ -141,53 +129,24 @@ DiskComponent::~DiskComponent() {
   }
 }
 
-namespace {
-
-// Table-cache values are heap shared_ptrs so pinned readers (iterators,
-// compactions) outlive eviction; the cache entry holds one strong ref.
-void DeleteTableEntry(const Slice& /*key*/, void* value) {
-  delete static_cast<std::shared_ptr<TableReader>*>(value);
-}
-
-Slice TableCacheKey(uint64_t number, char* buf /*8 bytes*/) {
-  EncodeFixed64(buf, number);
-  return Slice(buf, 8);
-}
-
-}  // namespace
-
-std::shared_ptr<TableReader> DiskComponent::GetTable(uint64_t number, uint64_t file_size) const {
-  char buf[8];
-  const Slice key = TableCacheKey(number, buf);
-  if (ShardedLruCache::Handle* handle = table_cache_->Lookup(key)) {
-    std::shared_ptr<TableReader> table =
-        *static_cast<std::shared_ptr<TableReader>*>(table_cache_->Value(handle));
-    table_cache_->Release(handle);
-    return table;
-  }
+Status DiskComponent::OpenTable(FileMetaData* meta) const {
+  const std::string fname = versions_->TableFileName(meta->number);
   std::unique_ptr<RandomAccessFile> file;
-  Status s = options_.env->NewRandomAccessFile(versions_->TableFileName(number), &file);
+  Status s = options_.env->NewRandomAccessFile(fname, &file);
   if (!s.ok()) {
-    return nullptr;
+    return s;  // Env errors name the file
   }
   TableReader::Options reader_options;
   reader_options.block_cache = block_cache_.get();
-  reader_options.cache_id = number;  // file numbers are never reused
+  reader_options.cache_id = meta->number;  // file numbers are never reused
   std::unique_ptr<TableReader> reader;
-  s = TableReader::Open(std::move(file), file_size, reader_options, &reader);
+  s = TableReader::Open(std::move(file), meta->file_size, reader_options, &reader);
   if (!s.ok()) {
-    return nullptr;
+    const std::string msg = fname + ": " + s.ToString();
+    return s.IsCorruption() ? Status::Corruption(msg) : Status::IOError(msg);
   }
-  // Two threads can race the same miss and both insert; the loser's
-  // entry is replaced and its reader torn down once unpinned (a benign
-  // transient: the torn-down duplicate also purges the file's shared
-  // block keys, costing at most a few warm blocks).
-  auto* holder = new std::shared_ptr<TableReader>(std::move(reader));
-  std::shared_ptr<TableReader> table = *holder;
-  ShardedLruCache::Handle* handle =
-      table_cache_->Insert(key, holder, /*charge=*/1, &DeleteTableEntry);
-  table_cache_->Release(handle);
-  return table;
+  meta->table = std::move(reader);
+  return Status::OK();
 }
 
 Status DiskComponent::AddRun(Iterator* iter, uint64_t log_number) {
@@ -263,6 +222,11 @@ Status DiskComponent::AddRun(Iterator* iter, uint64_t log_number) {
   meta.largest = builder.largest_key().ToString();
   meta.smallest_seq = builder.smallest_seq();
   meta.largest_seq = builder.largest_seq();
+  s = OpenTable(&meta);
+  if (!s.ok()) {
+    options_.env->RemoveFile(fname);
+    return s;
+  }
 
   VersionEdit edit;
   edit.added.emplace_back(0, std::move(meta));
@@ -300,11 +264,7 @@ Status DiskComponent::Get(const Slice& key, std::string* value, uint64_t* seq,
     return a->largest_seq > b->largest_seq;
   });
   for (const FileMetaData* f : l0) {
-    std::shared_ptr<TableReader> table = GetTable(f->number, f->file_size);
-    if (table == nullptr) {
-      return Status::IOError("cannot open table file");
-    }
-    Status s = table->Get(key, value, seq, type);
+    Status s = f->table->Get(key, value, seq, type);
     if (!s.IsNotFound()) {
       return s;  // hit or error
     }
@@ -326,11 +286,7 @@ Status DiskComponent::Get(const Slice& key, std::string* value, uint64_t* seq,
     if (lo == files.size() || !files[lo].ContainsKey(key)) {
       continue;
     }
-    std::shared_ptr<TableReader> table = GetTable(files[lo].number, files[lo].file_size);
-    if (table == nullptr) {
-      return Status::IOError("cannot open table file");
-    }
-    Status s = table->Get(key, value, seq, type);
+    Status s = files[lo].table->Get(key, value, seq, type);
     if (!s.IsNotFound()) {
       return s;
     }
@@ -340,12 +296,11 @@ Status DiskComponent::Get(const Slice& key, std::string* value, uint64_t* seq,
 
 namespace {
 
-// Pins the Version (and the TableReaders) backing a merged iterator.
+// Pins the Version, and so the TableReaders, backing a merged iterator.
 class VersionPinnedIterator final : public Iterator {
  public:
-  VersionPinnedIterator(std::unique_ptr<Iterator> base, std::shared_ptr<const Version> version,
-                        std::vector<std::shared_ptr<TableReader>> tables)
-      : base_(std::move(base)), version_(std::move(version)), tables_(std::move(tables)) {}
+  VersionPinnedIterator(std::unique_ptr<Iterator> base, std::shared_ptr<const Version> version)
+      : version_(std::move(version)), base_(std::move(base)) {}
 
   bool Valid() const override { return base_->Valid(); }
   void SeekToFirst() override { base_->SeekToFirst(); }
@@ -358,9 +313,8 @@ class VersionPinnedIterator final : public Iterator {
   Status status() const override { return base_->status(); }
 
  private:
+  std::shared_ptr<const Version> version_;  // declared first: outlives base_
   std::unique_ptr<Iterator> base_;
-  std::shared_ptr<const Version> version_;
-  std::vector<std::shared_ptr<TableReader>> tables_;
 };
 
 }  // namespace
@@ -368,30 +322,21 @@ class VersionPinnedIterator final : public Iterator {
 std::unique_ptr<Iterator> DiskComponent::NewIterator() const {
   std::shared_ptr<const Version> version = versions_->Current();
   std::vector<std::unique_ptr<Iterator>> children;
-  std::vector<std::shared_ptr<TableReader>> tables;
   // L0 files overlap: each needs its own merge child.
   for (const FileMetaData& f : version->LevelFiles(0)) {
-    std::shared_ptr<TableReader> table = GetTable(f.number, f.file_size);
-    if (table == nullptr) {
-      continue;  // surfaced via status of other children in practice
-    }
-    children.push_back(table->NewIterator());
-    tables.push_back(std::move(table));
+    children.push_back(f.table->NewIterator());
   }
   // Levels >= 1 are disjoint and sorted: one lazy concatenating child per
   // level keeps the merge heap O(L0 + levels) wide instead of O(files),
-  // and a Seek opens only the one file per level that can hold the
+  // and a Seek reads only the one file per level that can hold the
   // target.
-  TableOpener opener = [this](uint64_t number, uint64_t file_size) {
-    return GetTable(number, file_size);
-  };
   for (int level = 1; level < version->NumLevels(); ++level) {
     if (!version->LevelFiles(level).empty()) {
-      children.push_back(NewLevelIterator(version->LevelFiles(level), opener));
+      children.push_back(NewLevelIterator(version->LevelFiles(level)));
     }
   }
   return std::make_unique<VersionPinnedIterator>(NewMergingIterator(std::move(children)),
-                                                 std::move(version), std::move(tables));
+                                                 std::move(version));
 }
 
 bool DiskComponent::PickCompactionLocked(CompactionJob* job) {
@@ -405,22 +350,16 @@ bool DiskComponent::PickCompactionLocked(CompactionJob* job) {
   return true;
 }
 
-Status DiskComponent::DoCompaction(const CompactionJob& job) {
+Status DiskComponent::DoCompaction(CompactionJob job) {
   std::vector<std::unique_ptr<Iterator>> children;
-  std::vector<std::shared_ptr<TableReader>> pinned;
   uint64_t in_bytes = 0;
   for (const auto* inputs : {&job.inputs_lo, &job.inputs_hi}) {
     for (const FileMetaData& f : *inputs) {
-      std::shared_ptr<TableReader> table = GetTable(f.number, f.file_size);
-      if (table == nullptr) {
-        return Status::IOError("compaction input missing");
-      }
       // No-fill: a compaction streams every input block exactly once and
       // then deletes the files — inserting them would flush the readers'
       // hot set out of the shared cache for nothing. Blocks user reads
       // already cached are still served from the cache.
-      children.push_back(table->NewIterator(/*fill_cache=*/false));
-      pinned.push_back(std::move(table));
+      children.push_back(f.table->NewIterator(/*fill_cache=*/false));
       in_bytes += f.file_size;
     }
   }
@@ -460,6 +399,10 @@ Status DiskComponent::DoCompaction(const CompactionJob& job) {
     meta.largest = builder->largest_key().ToString();
     meta.smallest_seq = builder->smallest_seq();
     meta.largest_seq = builder->largest_seq();
+    s = OpenTable(&meta);
+    if (!s.ok()) {
+      return s;
+    }
     out_bytes += meta.file_size;
     edit.added.emplace_back(out_level, std::move(meta));
     builder.reset();
@@ -553,10 +496,6 @@ void DiskComponent::RemoveObsoleteFiles() {
         continue;
       }
       options_.env->RemoveFile(options_.path + "/" + name);
-      // Dropping the table handle tears down its reader (once unpinned),
-      // which purges the file's blocks from the block cache.
-      char buf[8];
-      table_cache_->Erase(TableCacheKey(number, buf));
     } else if (name.rfind("MANIFEST-", 0) == 0) {
       // Failed or crashed snapshot writes strand manifests below the one
       // CURRENT points at. Higher numbers are never touched: one may be
@@ -585,8 +524,9 @@ void DiskComponent::BackgroundWork() {
       return;
     }
     ++active_compactions_;
+    const int level = job.level;
     mu_.unlock();
-    Status s = DoCompaction(job);
+    Status s = DoCompaction(std::move(job));
     if (!s.ok()) {
       fprintf(stderr, "flodb: compaction failed: %s\n", s.ToString().c_str());
       // Back off: a transient I/O failure retries; a persistent one must
@@ -595,8 +535,8 @@ void DiskComponent::BackgroundWork() {
     }
     mu_.lock();
     --active_compactions_;
-    level_busy_[job.level] = false;
-    level_busy_[job.level + 1] = false;
+    level_busy_[level] = false;
+    level_busy_[level + 1] = false;
     idle_cv_.SignalAll();
     work_cv_.SignalAll();  // follow-up compactions may now be possible
   }
@@ -634,12 +574,13 @@ Status DiskComponent::CompactOnce(bool* did_work) {
     }
     ++active_compactions_;
   }
-  Status s = DoCompaction(job);
+  const int level = job.level;
+  Status s = DoCompaction(std::move(job));
   {
     MutexLock lock(mu_);
     --active_compactions_;
-    level_busy_[job.level] = false;
-    level_busy_[job.level + 1] = false;
+    level_busy_[level] = false;
+    level_busy_[level + 1] = false;
   }
   idle_cv_.SignalAll();
   if (did_work != nullptr) {
@@ -673,12 +614,13 @@ Status DiskComponent::RunManualCompaction(
     level_busy_[job.level + 1] = true;
     ++active_compactions_;
   }
-  Status s = DoCompaction(job);
+  const int level = job.level;
+  Status s = DoCompaction(std::move(job));
   {
     MutexLock lock(mu_);
     --active_compactions_;
-    level_busy_[job.level] = false;
-    level_busy_[job.level + 1] = false;
+    level_busy_[level] = false;
+    level_busy_[level + 1] = false;
   }
   idle_cv_.SignalAll();
   work_cv_.SignalAll();
@@ -760,13 +702,7 @@ DiskComponent::Stats DiskComponent::GetStats() const {
     stats.block_cache_bytes = cache.charge;
     stats.block_cache_pinned_bytes = cache.pinned_charge;
   }
-  {
-    const ShardedLruCache::Stats cache = table_cache_->GetStats();
-    stats.table_cache_hits = cache.hits;
-    stats.table_cache_misses = cache.misses;
-    stats.table_cache_evictions = cache.evictions;
-    stats.table_cache_entries = cache.entries;
-  }
+  stats.open_tables = static_cast<uint64_t>(v->NumFiles());
   return stats;
 }
 

@@ -6,6 +6,13 @@
 // sorted runs; background thread(s) merge levels when size triggers fire.
 // RocksDB-style multithreaded compaction is the `compaction_threads`
 // knob (§2.2).
+//
+// Every live table is open: its TableReader opens once, when the file is
+// installed (flush, compaction output, recovery), rides in the
+// FileMetaData of each Version naming it, and closes — purging its blocks
+// from the block cache — on whichever thread frees the last such
+// Version. A read pins the current Version and reaches its tables
+// directly, with no per-table lookup or refcount.
 
 #ifndef FLODB_DISK_DISK_COMPONENT_H_
 #define FLODB_DISK_DISK_COMPONENT_H_
@@ -43,11 +50,6 @@ struct DiskOptions {
   // caching: every block read goes to the Env.
   size_t block_cache_bytes = 8u << 20;
 
-  // Bound on concurrently open TableReaders (an LRU over table handles;
-  // each holds its file, index and bloom filter pinned). Evicting a
-  // table also drops its cached blocks. Must be >= 1.
-  size_t table_cache_entries = 64;
-
   int num_levels = 7;
   int l0_compaction_trigger = 4;   // L0 file count that triggers L0->L1
   uint64_t l1_max_bytes = 8ull << 20;
@@ -62,7 +64,8 @@ class DiskComponent {
   // older build wrote with value separation on (it holds *.vlog files, or
   // its MANIFEST carries a value-log section: those values are not stored
   // inline) or with the sharded store (it holds SHARDING or txn.log: its
-  // data lives in shard subdirectories).
+  // data lives in shard subdirectories). Opens every live table; a
+  // missing or unreadable one fails the open with a status naming it.
   static Status Open(const DiskOptions& options, std::unique_ptr<DiskComponent>* out);
   ~DiskComponent();
 
@@ -73,17 +76,19 @@ class DiskComponent {
   // produced by `iter` as one L0 file and installs it. Blocks while L0 is
   // over the stall trigger (write backpressure, as in LevelDB/RocksDB).
   // A non-zero `log_number` is recorded in the MANIFEST with the file:
-  // the first WAL whose records the run does not hold.
+  // the first WAL whose records the run does not hold. If the written
+  // file cannot be opened for reading, it is removed and nothing is
+  // installed.
   Status AddRun(Iterator* iter, uint64_t log_number = 0);
 
   // Point lookup across all levels; freshest version wins.
   Status Get(const Slice& key, std::string* value, uint64_t* seq, ValueType* type) const;
 
   // Merged scan: one child per L0 file plus ONE lazy concatenating
-  // iterator per deeper level (levels are disjoint, so a Seek opens only
+  // iterator per deeper level (levels are disjoint, so a Seek reads only
   // the file containing the target). Duplicate user keys surface
-  // freshest first (callers skip the rest). Pins the current Version for
-  // its lifetime.
+  // freshest first (callers skip the rest). Pins the current Version,
+  // and so its tables, for its lifetime.
   std::unique_ptr<Iterator> NewIterator() const;
 
   // Blocks until no compaction is needed or running.
@@ -114,16 +119,18 @@ class DiskComponent {
     uint64_t compactions = 0;
     uint64_t flushes = 0;
 
-    // Read-path caches (zero when the block cache is disabled).
+    // Block cache (zero when it is disabled).
     uint64_t block_cache_hits = 0;
     uint64_t block_cache_misses = 0;
     uint64_t block_cache_evictions = 0;
     uint64_t block_cache_bytes = 0;         // resident charge
     uint64_t block_cache_pinned_bytes = 0;  // pinned by in-flight readers
+    // Always 0: there is no table cache, every live table stays open.
+    // Kept because perfbench/src/workload.cc reads them.
     uint64_t table_cache_hits = 0;
     uint64_t table_cache_misses = 0;
-    uint64_t table_cache_evictions = 0;
-    uint64_t table_cache_entries = 0;  // currently open tables
+    // Tables the current Version names, each open with one file handle.
+    uint64_t open_tables = 0;
 
     // Hit fraction over all block-cache probes (0 when none happened).
     double BlockCacheHitRate() const {
@@ -136,20 +143,24 @@ class DiskComponent {
 
   const DiskOptions& options() const { return options_; }
 
-  // The shared read-path caches (block cache null when disabled).
-  // Exposed for tests and diagnostics.
+  // The shared block cache, null when disabled. Exposed for tests and
+  // diagnostics.
   ShardedLruCache* block_cache() const { return block_cache_.get(); }
-  ShardedLruCache* table_cache() const { return table_cache_.get(); }
 
  private:
   explicit DiskComponent(const DiskOptions& options);
 
-  std::shared_ptr<TableReader> GetTable(uint64_t number, uint64_t file_size) const;
+  // Opens the reader for the file `meta` names, before it is installed,
+  // and sets meta->table. On failure the status names the file.
+  Status OpenTable(FileMetaData* meta) const;
 
   // Returns true, fills *job and marks both job levels busy if work is
   // available.
   bool PickCompactionLocked(CompactionJob* job) REQUIRES(mu_);
-  Status DoCompaction(const CompactionJob& job);
+  // Takes the job by value: its input metadata pins the input tables,
+  // which must close (and purge their blocks) when it returns, before the
+  // caller signals idle_cv_.
+  Status DoCompaction(CompactionJob job);
   // Runs a manual job synchronously. Waits for every background
   // compaction to finish, then calls `build` under the scheduling mutex
   // against the then-current version (so the chosen inputs cannot be
@@ -160,14 +171,13 @@ class DiskComponent {
   void RemoveObsoleteFiles();
 
   const DiskOptions options_;
-  std::unique_ptr<VersionSet> versions_;
 
-  // Declaration order is a destruction-order contract: evicting the last
-  // table handles (in ~table_cache_) runs TableReader destructors, which
-  // purge their blocks from block_cache_ — so the block cache must be
-  // destroyed AFTER (declared before) the table cache.
+  // Declaration order is a destruction-order contract: freeing the last
+  // Versions (in ~versions_) runs TableReader destructors, which purge
+  // their blocks from block_cache_ — so the block cache must be destroyed
+  // AFTER (declared before) the version set.
   std::unique_ptr<ShardedLruCache> block_cache_;  // null when disabled
-  std::unique_ptr<ShardedLruCache> table_cache_;  // bounded open-table LRU
+  std::unique_ptr<VersionSet> versions_;
 
   // Output files being written but not yet installed in a Version. File
   // GC must skip them — without this, RemoveObsoleteFiles racing with a

@@ -91,6 +91,19 @@ class FaultInjectionWritableFile final : public WritableFile {
   std::unique_ptr<WritableFile> base_;
 };
 
+Status FaultInjectionEnv::NewRandomAccessFile(const std::string& fname,
+                                              std::unique_ptr<RandomAccessFile>* result) {
+  {
+    MutexLock lock(mu_);
+    if (fail_new_random_access_ &&
+        (fail_new_random_access_substr_.empty() ||
+         fname.find(fail_new_random_access_substr_) != std::string::npos)) {
+      return Status::IOError("injected NewRandomAccessFile failure: " + fname);
+    }
+  }
+  return base_->NewRandomAccessFile(fname, result);
+}
+
 Status FaultInjectionEnv::NewWritableFile(const std::string& fname,
                                           std::unique_ptr<WritableFile>* result) {
   {
@@ -187,6 +200,12 @@ void FaultInjectionEnv::FailNewWritableFiles(bool enabled, const std::string& su
   fail_new_writable_substr_ = substr;
 }
 
+void FaultInjectionEnv::FailNewRandomAccessFiles(bool enabled, const std::string& substr) {
+  MutexLock lock(mu_);
+  fail_new_random_access_ = enabled;
+  fail_new_random_access_substr_ = substr;
+}
+
 void FaultInjectionEnv::FailRemoveFiles(bool enabled, const std::string& substr) {
   MutexLock lock(mu_);
   fail_remove_ = enabled;
@@ -215,6 +234,8 @@ void FaultInjectionEnv::ClearFaults() {
   MutexLock lock(mu_);
   fail_new_writable_ = false;
   fail_new_writable_substr_.clear();
+  fail_new_random_access_ = false;
+  fail_new_random_access_substr_.clear();
   fail_remove_ = false;
   fail_remove_substr_.clear();
   appends_until_fail_ = -1;

@@ -9,10 +9,11 @@
 //    DropUnsyncedFileData() truncates each file back to that prefix
 //    (removing files that were never synced at all), exactly what a
 //    power loss leaves behind;
-//  * fault knobs — fail NewWritableFile or RemoveFile (optionally only
-//    for paths containing a substring, e.g. "wal-" or ".sst"), fail the
-//    Nth append (optionally writing a torn prefix first), fail fsyncs,
-//    and delay fsyncs to emulate a real device.
+//  * fault knobs — fail NewWritableFile, NewRandomAccessFile or
+//    RemoveFile (optionally only for paths containing a substring, e.g.
+//    "wal-" or ".sst"), fail the Nth append (optionally writing a torn
+//    prefix first), fail fsyncs, and delay fsyncs to emulate a real
+//    device.
 //
 // Only files created through this Env are tracked; pre-existing files
 // are passed through untouched. Intended for tests and benchmarks, so
@@ -42,9 +43,7 @@ class FaultInjectionEnv final : public Env {
     return base_->NewSequentialFile(fname, result);
   }
   Status NewRandomAccessFile(const std::string& fname,
-                             std::unique_ptr<RandomAccessFile>* result) override {
-    return base_->NewRandomAccessFile(fname, result);
-  }
+                             std::unique_ptr<RandomAccessFile>* result) override;
   Status NewWritableFile(const std::string& fname,
                          std::unique_ptr<WritableFile>* result) override;
 
@@ -71,6 +70,10 @@ class FaultInjectionEnv final : public Env {
   // When enabled, NewWritableFile fails for paths containing `substr`
   // (every path when `substr` is empty).
   void FailNewWritableFiles(bool enabled, const std::string& substr = std::string());
+
+  // When enabled, NewRandomAccessFile fails for paths containing `substr`
+  // (every path when `substr` is empty).
+  void FailNewRandomAccessFiles(bool enabled, const std::string& substr = std::string());
 
   // When enabled, RemoveFile fails (and leaves the file in place) for
   // paths containing `substr` (every path when `substr` is empty).
@@ -111,6 +114,8 @@ class FaultInjectionEnv final : public Env {
 
   bool fail_new_writable_ GUARDED_BY(mu_) = false;
   std::string fail_new_writable_substr_ GUARDED_BY(mu_);
+  bool fail_new_random_access_ GUARDED_BY(mu_) = false;
+  std::string fail_new_random_access_substr_ GUARDED_BY(mu_);
   bool fail_remove_ GUARDED_BY(mu_) = false;
   std::string fail_remove_substr_ GUARDED_BY(mu_);
   // -1 = disabled; 0 = next append fires

@@ -2,14 +2,16 @@
 
 #include <utility>
 
+#include "flodb/disk/table_reader.h"
+
 namespace flodb {
 
 namespace {
 
 class LevelIterator final : public Iterator {
  public:
-  LevelIterator(std::vector<FileMetaData> files, TableOpener opener, bool fill_cache)
-      : files_(std::move(files)), opener_(std::move(opener)), fill_cache_(fill_cache) {}
+  LevelIterator(std::vector<FileMetaData> files, bool fill_cache)
+      : files_(std::move(files)), fill_cache_(fill_cache) {}
 
   bool Valid() const override { return iter_ != nullptr && iter_->Valid(); }
 
@@ -61,20 +63,13 @@ class LevelIterator final : public Iterator {
   }
 
  private:
-  // Opens files_[index_]; false when past the end or on open failure
-  // (which latches status_ and invalidates the iterator).
+  // Starts iterating files_[index_]; false when past the end.
   bool OpenCurrent() {
     iter_.reset();
-    table_.reset();
     if (index_ >= files_.size()) {
       return false;
     }
-    table_ = opener_(files_[index_].number, files_[index_].file_size);
-    if (table_ == nullptr) {
-      status_ = Status::IOError("cannot open table file for level iterator");
-      return false;
-    }
-    iter_ = table_->NewIterator(fill_cache_);
+    iter_ = files_[index_].table->NewIterator(fill_cache_);
     return true;
   }
 
@@ -94,21 +89,18 @@ class LevelIterator final : public Iterator {
     }
   }
 
-  const std::vector<FileMetaData> files_;
-  const TableOpener opener_;
+  const std::vector<FileMetaData> files_;  // pins every table of the level
   const bool fill_cache_;
 
   size_t index_ = 0;
-  std::shared_ptr<TableReader> table_;  // pins the open table (and its blocks)
   std::unique_ptr<Iterator> iter_;
   Status status_;
 };
 
 }  // namespace
 
-std::unique_ptr<Iterator> NewLevelIterator(std::vector<FileMetaData> files, TableOpener opener,
-                                           bool fill_cache) {
-  return std::make_unique<LevelIterator>(std::move(files), std::move(opener), fill_cache);
+std::unique_ptr<Iterator> NewLevelIterator(std::vector<FileMetaData> files, bool fill_cache) {
+  return std::make_unique<LevelIterator>(std::move(files), fill_cache);
 }
 
 }  // namespace flodb

@@ -1,32 +1,26 @@
 // LevelIterator: a lazy concatenating iterator over one sorted level
-// (L1+: files key-ordered with disjoint ranges). At most one table is
-// open at a time; Seek binary-searches the file list and opens only the
-// file that can contain the target. Replaces the old
-// one-merging-child-per-file scheme, which opened EVERY file in every
-// level up front and paid a heap comparison per file per step.
+// (L1+: files key-ordered with disjoint ranges). At most one table
+// iterator is live at a time; Seek binary-searches the file list and
+// reads only the file that can contain the target. Every table is
+// already open (FileMetaData::table), so moving to the next file cannot
+// fail to open it. Replaces the old one-merging-child-per-file scheme,
+// which paid a heap comparison per file per step.
 
 #ifndef FLODB_DISK_LEVEL_ITERATOR_H_
 #define FLODB_DISK_LEVEL_ITERATOR_H_
 
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "flodb/disk/iterator.h"
-#include "flodb/disk/table_reader.h"
 #include "flodb/disk/version.h"
 
 namespace flodb {
 
-// Opens (usually via the table cache) the reader for a file; returns
-// nullptr on failure. Must stay callable for the iterator's lifetime.
-using TableOpener = std::function<std::shared_ptr<TableReader>(uint64_t number,
-                                                               uint64_t file_size)>;
-
-// REQUIRES: `files` sorted by smallest key with disjoint ranges (a level
-// >= 1 of a Version). The iterator pins the currently open table only;
-// callers pin the Version so the files stay live.
-std::unique_ptr<Iterator> NewLevelIterator(std::vector<FileMetaData> files, TableOpener opener,
+// REQUIRES: `files` sorted by smallest key with disjoint ranges, each
+// with its table open (a level >= 1 of a Version). The iterator's copy
+// of `files` keeps their tables open for its lifetime.
+std::unique_ptr<Iterator> NewLevelIterator(std::vector<FileMetaData> files,
                                            bool fill_cache = true);
 
 }  // namespace flodb

@@ -87,7 +87,7 @@ std::shared_ptr<const Version> VersionSet::Current() const {
   return current_;
 }
 
-Status VersionSet::Recover() {
+Status VersionSet::Recover(const std::function<Status(FileMetaData*)>& open_table) {
   env_->CreateDir(dbname_);
   std::string current_contents;
   Status s = ReadFileToString(env_, CurrentFileName(dbname_), &current_contents);
@@ -117,6 +117,16 @@ Status VersionSet::Recover() {
   s = LoadSnapshot(dbname_ + "/" + current_contents, &v, &log_number);
   if (!s.ok()) {
     return s;
+  }
+  if (open_table) {
+    for (auto& level_files : v->levels_) {
+      for (FileMetaData& f : level_files) {
+        s = open_table(&f);
+        if (!s.ok()) {
+          return s;
+        }
+      }
+    }
   }
   MutexLock lock(mu_);
   log_number_ = log_number;
@@ -273,6 +283,10 @@ Status VersionSet::LoadSnapshot(const std::string& manifest_file, std::shared_pt
 }
 
 Status VersionSet::LogAndApply(const VersionEdit& edit) {
+  // Declared before the lock, so the replaced Version is freed after mu_
+  // is released: if this is its last holder, freeing it closes the
+  // tables only it names, which must not stall Current().
+  std::shared_ptr<const Version> replaced;
   MutexLock lock(mu_);
   auto next = std::make_shared<Version>(num_levels_);
   next->levels_ = current_->levels_;
@@ -305,6 +319,7 @@ Status VersionSet::LogAndApply(const VersionEdit& edit) {
     return s;
   }
   log_number_ = log_number;
+  replaced = std::move(current_);
   current_ = std::move(next);
   RegisterVersionLocked(current_);
   return Status::OK();

@@ -4,7 +4,10 @@
 // possibly-overlapping flushed Memtables (searched newest-first by max
 // sequence number); levels >= 1 hold sorted, non-overlapping runs.
 // Readers pin a Version with a shared_ptr and are never blocked by
-// flushes or compactions, which install fresh Versions.
+// flushes or compactions, which install fresh Versions. Each file's
+// metadata carries its open TableReader, so pinning a Version pins every
+// table it names; a table closes when the last Version naming it is
+// freed.
 //
 // Every installed Version is persisted as a full MANIFEST snapshot
 // (rewrite-on-change; simple and crash-safe at this scale) with a CURRENT
@@ -15,6 +18,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -27,6 +31,8 @@
 
 namespace flodb {
 
+class TableReader;
+
 struct FileMetaData {
   uint64_t number = 0;
   uint64_t file_size = 0;
@@ -35,6 +41,11 @@ struct FileMetaData {
   std::string largest;   // largest user key
   uint64_t smallest_seq = 0;
   uint64_t largest_seq = 0;
+  // The open reader, set when the file is installed (flush, compaction
+  // output, recovery) and shared by every copy of this metadata. Not
+  // persisted: the MANIFEST holds only the fields above. Null only in
+  // metadata a test fabricates without a file behind it.
+  std::shared_ptr<TableReader> table;
 
   bool OverlapsRange(const Slice& begin, const Slice& end) const {
     // Empty bounds = unbounded.
@@ -88,8 +99,10 @@ class VersionSet {
   VersionSet(Env* env, std::string dbname, int num_levels);
 
   // Loads CURRENT/MANIFEST if present; otherwise starts empty and writes
-  // an initial manifest.
-  Status Recover();
+  // an initial manifest. When given, `open_table` runs on every recovered
+  // file before the version installs, and its first failure fails the
+  // recovery.
+  Status Recover(const std::function<Status(FileMetaData*)>& open_table = nullptr);
 
   // Applies edit to the current version, persists the new manifest and
   // installs the result. Thread-safe.

@@ -271,30 +271,35 @@ TEST_F(DiskCachePurgeTest, CompactionDeletedTablesBlocksArePurged) {
   EXPECT_GT(disk_->block_cache()->TotalCharge(), 0u);
 }
 
-TEST_F(DiskCachePurgeTest, BoundedTableCacheEvictsAndReopens) {
+TEST_F(DiskCachePurgeTest, OpenTablesMatchCurrentVersion) {
   DiskOptions options = SmallDisk();
-  options.table_cache_entries = 2;
-  options.l0_compaction_trigger = 100;  // keep every run in L0
-  options.compaction_threads = 0;
+  options.compaction_threads = 0;  // compact only when the test says so
   ASSERT_TRUE(DiskComponent::Open(options, &disk_).ok());
+  EXPECT_EQ(disk_->GetStats().open_tables, 0u);
 
-  // Six disjoint runs -> six tables, but only two may be open at once.
-  for (uint64_t i = 0; i < 6; ++i) {
+  // Every installed table is open, whether or not a read touched it.
+  for (uint64_t i = 0; i < 4; ++i) {
     FlushRange(i * 100, (i + 1) * 100, 1 + i * 1000, "v");
+    const DiskComponent::Stats stats = disk_->GetStats();
+    EXPECT_EQ(stats.open_tables, i + 1);
+    EXPECT_EQ(stats.open_tables, static_cast<uint64_t>(disk_->CurrentVersion()->NumFiles()));
   }
-  // Two passes: the second revisits tables the first pass evicted, so
-  // transparent reopens show up as misses beyond the initial six opens.
-  std::string value;
-  for (int round = 0; round < 2; ++round) {
-    for (uint64_t k = 0; k < 600; ++k) {
-      ASSERT_TRUE(disk_->Get(Slice(EncodeKey(k)), &value, nullptr, nullptr).ok());
-      EXPECT_EQ(value, "v" + std::to_string(k));
-    }
-  }
+
+  // The compaction's inputs close with the Version that named them; its
+  // outputs open when installed.
+  bool did_work = false;
+  ASSERT_TRUE(disk_->CompactOnce(&did_work).ok());
+  ASSERT_TRUE(did_work);
   const DiskComponent::Stats stats = disk_->GetStats();
-  EXPECT_LE(stats.table_cache_entries, 2u);
-  EXPECT_GT(stats.table_cache_evictions, 0u);
-  EXPECT_GT(stats.table_cache_misses, 6u);
+  EXPECT_EQ(stats.files_per_level[0], 0);
+  EXPECT_EQ(stats.open_tables, static_cast<uint64_t>(disk_->CurrentVersion()->NumFiles()));
+  EXPECT_EQ(stats.table_cache_hits, 0u);
+  EXPECT_EQ(stats.table_cache_misses, 0u);
+  std::string value;
+  for (uint64_t k = 0; k < 400; ++k) {
+    ASSERT_TRUE(disk_->Get(Slice(EncodeKey(k)), &value, nullptr, nullptr).ok());
+    EXPECT_EQ(value, "v" + std::to_string(k));
+  }
 }
 
 TEST_F(DiskCachePurgeTest, BlockCacheDisabledServesReads) {

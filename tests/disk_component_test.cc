@@ -1,6 +1,7 @@
 // DiskComponent: flush (AddRun), multi-level Get, compaction correctness
 // (dedup, tombstone retirement at the bottom level), iterator views,
-// recovery from MANIFEST, and file garbage collection.
+// recovery from MANIFEST, file garbage collection, and tables that stay
+// open from their install while the Env refuses to open files.
 
 #include "flodb/disk/disk_component.h"
 
@@ -8,9 +9,12 @@
 
 #include <map>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "flodb/common/key_codec.h"
 #include "flodb/core/memtable_iterator.h"
+#include "flodb/disk/fault_env.h"
 #include "flodb/disk/mem_env.h"
 #include "flodb/mem/memtable.h"
 
@@ -36,15 +40,32 @@ class DiskComponentTest : public ::testing::Test {
     ASSERT_TRUE(DiskComponent::Open(options, &disk_).ok());
   }
 
-  // Flushes entries [lo, hi) with seqs starting at seq_base as one run.
-  void FlushRange(uint64_t lo, uint64_t hi, uint64_t seq_base, const std::string& tag,
+  // Adds entries [lo, hi) with seqs starting at seq_base as one run.
+  Status AddRange(uint64_t lo, uint64_t hi, uint64_t seq_base, const std::string& tag,
                   ValueType type = ValueType::kValue) {
     MemTable table(1 << 20);
     for (uint64_t k = lo; k < hi; ++k) {
       table.Add(Slice(EncodeKey(k)), Slice(tag + std::to_string(k)), seq_base + (k - lo), type);
     }
     MemTableIterator iter(&table);
-    ASSERT_TRUE(disk_->AddRun(&iter).ok());
+    return disk_->AddRun(&iter);
+  }
+
+  void FlushRange(uint64_t lo, uint64_t hi, uint64_t seq_base, const std::string& tag,
+                  ValueType type = ValueType::kValue) {
+    ASSERT_TRUE(AddRange(lo, hi, seq_base, tag, type).ok());
+  }
+
+  int CountSstFiles() {
+    std::vector<std::string> children;
+    EXPECT_TRUE(env_.GetChildren("/db", &children).ok());
+    int sst_files = 0;
+    for (const std::string& name : children) {
+      if (name.size() > 4 && name.substr(name.size() - 4) == ".sst") {
+        ++sst_files;
+      }
+    }
+    return sst_files;
   }
 
   MemEnv env_;
@@ -198,20 +219,12 @@ TEST_F(DiskComponentTest, ObsoleteFilesAreRemoved) {
   disk_->WaitForCompactions();
 
   // Every .sst on disk must be referenced by the current version.
-  std::vector<std::string> children;
-  ASSERT_TRUE(env_.GetChildren("/db", &children).ok());
-  int sst_files = 0;
-  for (const std::string& name : children) {
-    if (name.size() > 4 && name.substr(name.size() - 4) == ".sst") {
-      ++sst_files;
-    }
-  }
   auto stats = disk_->GetStats();
   int referenced = 0;
   for (int n : stats.files_per_level) {
     referenced += n;
   }
-  EXPECT_EQ(sst_files, referenced);
+  EXPECT_EQ(CountSstFiles(), referenced);
 }
 
 TEST_F(DiskComponentTest, IteratorPinsVersionAcrossCompaction) {
@@ -329,6 +342,75 @@ TEST_F(DiskComponentTest, ValueLogFileRefused) {
   EXPECT_TRUE(s.IsNotSupported()) << s.ToString();
   EXPECT_NE(s.ToString().find("value separation"), std::string::npos) << s.ToString();
   EXPECT_FALSE(env_.FileExists("/db/CURRENT")) << "a refused directory stays as it was";
+}
+
+// The same store over an Env whose file opens can be failed.
+class DiskFaultTest : public DiskComponentTest {
+ protected:
+  void TearDown() override { disk_.reset(); }  // before fault_ goes
+
+  DiskOptions FaultDisk() {
+    DiskOptions options = SmallDisk();
+    options.env = &fault_;
+    options.compaction_threads = 0;  // keep both runs in L0
+    return options;
+  }
+
+  FaultInjectionEnv fault_{&env_};
+};
+
+// Tables open when installed, so no read opens a file: while the Env
+// refuses every .sst open, each Get and a full scan still see every key.
+TEST_F(DiskFaultTest, ReadsNeedNoFileOpens) {
+  OpenDisk(FaultDisk());
+  FlushRange(0, 100, 1, "a");
+  FlushRange(50, 150, 1000, "b");
+  fault_.FailNewRandomAccessFiles(true, ".sst");
+
+  std::string value;
+  for (uint64_t k = 0; k < 150; ++k) {
+    const Status s = disk_->Get(Slice(EncodeKey(k)), &value, nullptr, nullptr);
+    ASSERT_TRUE(s.ok()) << k << ": " << s.ToString();
+    EXPECT_EQ(value, (k < 50 ? "a" : "b") + std::to_string(k));
+  }
+  auto iter = disk_->NewIterator();
+  std::map<uint64_t, std::string> seen;
+  for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
+    const uint64_t k = DecodeKey(iter->key());
+    if (seen.count(k) == 0) {
+      seen[k] = iter->value().ToString();  // freshest surfaces first
+    }
+  }
+  ASSERT_TRUE(iter->status().ok()) << iter->status().ToString();
+  ASSERT_EQ(seen.size(), 150u);
+  for (const auto& [k, v] : seen) {
+    EXPECT_EQ(v, (k < 50 ? "a" : "b") + std::to_string(k));
+  }
+}
+
+// A run whose table cannot be opened for reading is not installed, and
+// its file does not stay behind; the same run lands once the Env heals.
+TEST_F(DiskFaultTest, AddRunFailsCleanlyWhenItsTableCannotOpen) {
+  OpenDisk(FaultDisk());
+  FlushRange(0, 100, 1, "a");
+  fault_.FailNewRandomAccessFiles(true, ".sst");
+
+  const Status s = AddRange(100, 200, 1000, "b");
+  EXPECT_TRUE(s.IsIOError()) << s.ToString();
+  EXPECT_EQ(disk_->CurrentVersion()->NumFiles(), 1);
+  EXPECT_EQ(CountSstFiles(), 1) << "the unopened table must not stay on disk";
+  EXPECT_TRUE(disk_->Get(Slice(EncodeKey(150)), nullptr, nullptr, nullptr).IsNotFound());
+
+  fault_.ClearFaults();
+  FlushRange(100, 200, 1000, "b");
+  EXPECT_EQ(disk_->CurrentVersion()->NumFiles(), 2);
+  disk_.reset();
+  OpenDisk(FaultDisk());
+  std::string value;
+  for (uint64_t k = 0; k < 200; k += 7) {
+    ASSERT_TRUE(disk_->Get(Slice(EncodeKey(k)), &value, nullptr, nullptr).ok()) << k;
+    EXPECT_EQ(value, (k < 100 ? "a" : "b") + std::to_string(k));
+  }
 }
 
 }  // namespace

@@ -259,6 +259,57 @@ TEST(FaultInjectionTest, FailedPersistRetainsWalAndRetries) {
   }
 }
 
+// A persist whose new table cannot be opened for reading installs
+// nothing and leaves no file behind; the Memtable stays installed, so
+// every write stays readable, and the retry lands once the Env heals.
+TEST(FaultInjectionTest, FailedTableOpenKeepsDataReadableAndRetries) {
+  MemEnv base;
+  FaultInjectionEnv fault(&base);
+  FloDbOptions options = FaultOptions(&fault);
+  options.memory_budget_bytes = 128 << 10;  // small: persists trigger fast
+  std::unique_ptr<FloDB> db;
+  ASSERT_TRUE(FloDB::Open(options, &db).ok());
+
+  fault.FailNewRandomAccessFiles(true, ".sst");
+  const std::string value_blob(256, 'p');
+  for (uint64_t i = 0; i < 400; ++i) {
+    ASSERT_TRUE(db->Put(Slice(K(i)), Slice(value_blob)).ok()) << i;
+  }
+  uint64_t failures = 0;
+  for (int attempt = 0; attempt < 2000; ++attempt) {
+    failures = db->GetStats().persist_failures;
+    if (failures > 0) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GT(failures, 0u) << "persist never attempted";
+  EXPECT_EQ(db->GetStats().disk.flushes, 0u);
+  std::vector<std::string> children;
+  ASSERT_TRUE(fault.GetChildren("/db", &children).ok());
+  for (const std::string& name : children) {
+    EXPECT_EQ(name.find(".sst"), std::string::npos) << "orphan table " << name;
+  }
+  std::string value;
+  for (uint64_t i = 0; i < 400; ++i) {
+    ASSERT_TRUE(db->Get(Slice(K(i)), &value).ok()) << i;
+    EXPECT_EQ(value, value_blob);
+  }
+
+  fault.ClearFaults();
+  ASSERT_TRUE(db->FlushAll().ok());
+  EXPECT_GT(db->GetStats().disk.flushes, 0u);
+  for (uint64_t i = 0; i < 400; ++i) {
+    ASSERT_TRUE(db->Get(Slice(K(i)), &value).ok()) << i;
+  }
+  db.reset();
+  ASSERT_TRUE(FloDB::Open(options, &db).ok());
+  for (uint64_t i = 0; i < 400; i += 29) {
+    ASSERT_TRUE(db->Get(Slice(K(i)), &value).ok()) << i;
+    EXPECT_EQ(value, value_blob);
+  }
+}
+
 // A persisted log whose unlink fails must not be replayed at the next
 // open: its records would take fresh seqs above every persisted one and
 // shadow newer values. The MANIFEST's log number makes recovery skip and

@@ -121,6 +121,37 @@ TEST(FloDBRecoveryTest, PersistedDataSurvivesWithoutWal) {
   }
 }
 
+// Recovery opens every live table, so a missing one fails the open,
+// naming the file, instead of failing each later Get that reaches it.
+TEST(FloDBRecoveryTest, MissingLiveTableFailsOpen) {
+  MemEnv env;
+  FloDbOptions options = WalOptions(&env);
+  {
+    std::unique_ptr<FloDB> db;
+    ASSERT_TRUE(FloDB::Open(options, &db).ok());
+    for (uint64_t i = 0; i < 2000; ++i) {
+      ASSERT_TRUE(db->Put(Slice(K(i)), Slice(std::string(100, 'd'))).ok());
+    }
+    ASSERT_TRUE(db->FlushAll().ok());
+  }
+  std::vector<std::string> children;
+  ASSERT_TRUE(env.GetChildren("/db", &children).ok());
+  std::string victim;
+  for (const std::string& name : children) {
+    if (name.size() > 4 && name.substr(name.size() - 4) == ".sst") {
+      victim = name;
+      break;
+    }
+  }
+  ASSERT_FALSE(victim.empty()) << "nothing was persisted";
+  ASSERT_TRUE(env.RemoveFile("/db/" + victim).ok());
+
+  std::unique_ptr<FloDB> db;
+  const Status s = FloDB::Open(options, &db);
+  EXPECT_FALSE(s.ok());
+  EXPECT_NE(s.ToString().find(victim), std::string::npos) << s.ToString();
+}
+
 TEST(FloDBRecoveryTest, SequenceCounterSeededPastPersistedData) {
   MemEnv env;
   FloDbOptions options = WalOptions(&env);

@@ -99,14 +99,6 @@ TEST_F(OptionsTest, NoPersistenceNeedsNoDiskConfig) {
   EXPECT_TRUE(Open(options).ok());
 }
 
-TEST_F(OptionsTest, ZeroTableCacheEntriesRejected) {
-  // Without open-table reuse every Get would reopen its file; the
-  // degenerate config is a misconfiguration, not a mode.
-  FloDbOptions options = ValidOptions();
-  options.disk.table_cache_entries = 0;
-  EXPECT_TRUE(Open(options).IsInvalidArgument());
-}
-
 TEST_F(OptionsTest, ZeroBlockCacheBytesDisablesCaching) {
   // 0 is a valid mode (block caching off), not an error.
   FloDbOptions options = ValidOptions();
