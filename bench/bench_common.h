@@ -152,6 +152,7 @@ inline BaselineOptions BaselinePreset(StoreId id, size_t memory_bytes, const Dis
 // Opens a fresh store of the given kind over a throttled in-memory disk.
 // memory_bytes is the total memory-component budget (FloDB splits it 1:3;
 // baselines give it all to their single memtable, as in the paper).
+// FloDB runs as shipped: every other option keeps its default.
 // `block_cache_bytes` >= 0 overrides the DiskOptions block-cache default
 // for FloDB columns (0 = caching off); -1 keeps the default.
 inline StoreInstance OpenStore(StoreId id, const BenchConfig& config, size_t memory_bytes,
@@ -174,9 +175,6 @@ inline StoreInstance OpenStore(StoreId id, const BenchConfig& config, size_t mem
     FloDbOptions options;
     options.memory_budget_bytes = memory_bytes;
     options.disk = disk;
-    // The paper's evaluation configuration: masters may reuse the
-    // previous scan seq (serializable scans, §4.4 optimization).
-    options.scan_master_reuse_limit = 8;
     std::unique_ptr<FloDB> db;
     status = FloDB::Open(options, &db);
     instance.store = std::move(db);

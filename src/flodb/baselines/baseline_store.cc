@@ -51,20 +51,17 @@ BaselineOptions BaselineOptions::CLSM(size_t memtable_bytes, const DiskOptions& 
 BaselineStore::BaselineStore(const BaselineOptions& options) : options_(options) {}
 
 Status BaselineStore::Open(const BaselineOptions& options, std::unique_ptr<BaselineStore>* out) {
-  if (options.enable_persistence &&
-      (options.disk.env == nullptr || options.disk.path.empty())) {
-    return Status::InvalidArgument("persistence requires disk.env and disk.path");
+  if (options.disk.env == nullptr || options.disk.path.empty()) {
+    return Status::InvalidArgument("a baseline store requires disk.env and disk.path");
   }
   auto store = std::unique_ptr<BaselineStore>(new BaselineStore(options));
-  if (options.enable_persistence) {
-    Status s = DiskComponent::Open(options.disk, &store->disk_);
-    if (!s.ok()) {
-      return s;
-    }
-    const uint64_t max_seq = store->disk_->MaxPersistedSeq();
-    store->seq_.store(max_seq + 1, std::memory_order_relaxed);
-    store->committed_seq_.store(max_seq, std::memory_order_relaxed);
+  Status s = DiskComponent::Open(options.disk, &store->disk_);
+  if (!s.ok()) {
+    return s;
   }
+  const uint64_t max_seq = store->disk_->MaxPersistedSeq();
+  store->seq_.store(max_seq + 1, std::memory_order_relaxed);
+  store->committed_seq_.store(max_seq, std::memory_order_relaxed);
   store->mem_.store(store->NewMemTable(), std::memory_order_relaxed);
   store->flush_thread_ = std::thread([raw = store.get()] { raw->FlushLoop(); });
   *out = std::move(store);
@@ -325,7 +322,7 @@ Status BaselineStore::GetImpl(const ReadOptions& options, const Slice& key, std:
   Status result = Status::NotFound();
   if (found) {
     result = type == ValueType::kTombstone ? Status::NotFound() : Status::OK();
-  } else if (disk_ != nullptr) {
+  } else {
     Status s = disk_->Get(key, value, &seq, &type);
     if (s.ok()) {
       result = type == ValueType::kTombstone ? Status::NotFound() : Status::OK();
@@ -372,6 +369,7 @@ Status BaselineStore::ScanImpl(const Slice& start, bool exclusive_start, const S
   // Multi-versioning gives baselines point-in-time scans for free: pick a
   // snapshot and ignore newer versions.
   const uint64_t snapshot = committed_seq_.load(std::memory_order_acquire);
+  Status status;
   {
     RcuReadGuard guard(rcu_);
     std::vector<std::unique_ptr<Iterator>> children;
@@ -381,9 +379,7 @@ Status BaselineStore::ScanImpl(const Slice& start, bool exclusive_start, const S
         children.push_back(table->NewSortedIterator());
       }
     }
-    if (disk_ != nullptr) {
-      children.push_back(disk_->NewIterator());
-    }
+    children.push_back(disk_->NewIterator());
     std::unique_ptr<Iterator> merged = NewMergingIterator(std::move(children));
 
     // Seeding the dedup state with an exclusive start skips every version
@@ -410,12 +406,15 @@ Status BaselineStore::ScanImpl(const Slice& start, bool exclusive_start, const S
         break;
       }
     }
+    // A disk read failure ends the merge early; the chunk must fail with
+    // it rather than pass the readable prefix off as the whole range.
+    status = merged->status();
   }
 
   if (global_lock_reads) {
     MutexLock db(db_mu_);
   }
-  return Status::OK();
+  return status;
 }
 
 void BaselineStore::FlushLoop() {
@@ -439,11 +438,9 @@ void BaselineStore::FlushLoop() {
     // For hash memtables this is where the linearithmic collect+sort
     // happens — the flush delay of Figure 4.
     std::unique_ptr<Iterator> iter = imm->NewSortedIterator();
-    if (disk_ != nullptr) {
-      Status s = disk_->AddRun(iter.get());
-      if (!s.ok() && !s.IsAborted()) {
-        fprintf(stderr, "baseline: flush failed: %s\n", s.ToString().c_str());
-      }
+    Status s = disk_->AddRun(iter.get());
+    if (!s.ok() && !s.IsAborted()) {
+      fprintf(stderr, "baseline: flush failed: %s\n", s.ToString().c_str());
     }
     imm_.store(nullptr, std::memory_order_seq_cst);
     rcu_.Synchronize();  // readers may still hold the pointer
@@ -469,9 +466,7 @@ Status BaselineStore::FlushAll() {
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  if (disk_ != nullptr) {
-    disk_->WaitForCompactions();
-  }
+  disk_->WaitForCompactions();
   return Status::OK();
 }
 
@@ -483,9 +478,7 @@ StoreStats BaselineStore::GetStats() const {
   stats.scans = scans_.load(std::memory_order_relaxed);
   stats.batch_writes = batch_writes_.load(std::memory_order_relaxed);
   stats.batch_entries = batch_entries_.load(std::memory_order_relaxed);
-  if (disk_ != nullptr) {
-    stats.disk = disk_->GetStats();
-  }
+  stats.disk = disk_->GetStats();
   return stats;
 }
 

@@ -48,7 +48,6 @@ struct BaselineOptions {
   BaselineMemTable::Kind memtable_kind = BaselineMemTable::Kind::kSkipList;
 
   size_t memtable_bytes = 4u << 20;
-  bool enable_persistence = true;
   DiskOptions disk;
 
   // The paper's baselines as the figures run them (§2.2). Each preset
@@ -82,8 +81,8 @@ class BaselineStore final : public KVStore {
   // v2 surface. A batch funnels through the store's own write protocol
   // entry by entry (the single-writer designs still group concurrent
   // batches via their leader queue); WriteOptions::sync is a no-op — the
-  // baselines carry no WAL. ReadOptions::snapshot_mode is ignored: the
-  // multi-versioned memtable gives every scan a snapshot for free.
+  // baselines carry no WAL. The multi-versioned memtable gives every scan
+  // a snapshot for free.
   Status Write(const WriteOptions& options, WriteBatch* batch) override;
   Status Get(const ReadOptions& options, const Slice& key, std::string* value) override
       EXCLUDES(clsm_mu_);

@@ -25,8 +25,8 @@ struct DriverOptions {
   // Burst mode (Figures 15/17): when non-zero each thread performs exactly
   // this many operations instead of running for `seconds`.
   uint64_t ops_per_thread = 0;
-  // Per-operation options threaded to the store (sync WAL commits,
-  // snapshot-mode hints, stat suppression).
+  // Per-operation options threaded to the store (sync WAL commits, stat
+  // suppression).
   WriteOptions write_options;
   ReadOptions read_options;
 };

@@ -110,10 +110,11 @@ class FloDB final : public KVStore {
     bool is_master = false;
   };
 
-  // Master election / piggybacking / seq reuse (Algorithm 3 entry). For
-  // masters this performs the Membuffer swap + full drain and publishes
-  // the fresh seq for piggybackers.
-  ScanTicket BeginScan(SnapshotMode mode) EXCLUDES(scan_mu_);
+  // Master election (Algorithm 3 entry): piggyback on a running scan's
+  // published seq, else become the master. For masters this performs the
+  // Membuffer swap + full drain and publishes the fresh seq for
+  // piggybackers.
+  ScanTicket BeginScan() EXCLUDES(scan_mu_);
   void EndScan(const ScanTicket& ticket) EXCLUDES(scan_mu_);
   // Swap + drain + fresh seq + publish — master setup, also used for a
   // full master restart.
@@ -138,7 +139,7 @@ class FloDB final : public KVStore {
                       bool exclusive_start, std::vector<ScanEntry>* out);
   // One iterator chunk: validated passes under ticket->seq, restarting
   // with a fresh seq on a violation and falling back after
-  // scan_restart_threshold restarts. Only the first chunk (the one
+  // kScanRestartLimit restarts. Only the first chunk (the one
   // starting inclusively at the low bound) runs while the ticket's slot
   // is held, so only it may restart a master with a re-drain.
   Status FetchChunk(ScanTicket* ticket, const Slice& start, bool exclusive,
@@ -231,8 +232,14 @@ class FloDB final : public KVStore {
   uint64_t published_seq_ GUARDED_BY(scan_mu_) = 0;
   // Piggybacking scans one published sequence number may serve.
   static constexpr int kPiggybackChainLimit = 8;
+  // Validated passes one chunk may fail before it takes the fallback
+  // pass. A restart costs a full pass (plus a re-drain for a master), and
+  // a fallback briefly freezes Memtable writers. Three keeps a scan
+  // racing only a rare in-place update on the cheap path, while a range
+  // that writers rewrite faster than it can be read still finishes after
+  // a bounded amount of wasted work (DESIGN.md §4).
+  static constexpr int kScanRestartLimit = 3;
   int chain_len_ GUARDED_BY(scan_mu_) = 0;
-  int reuse_count_ GUARDED_BY(scan_mu_) = 0;
   int running_scans_ GUARDED_BY(scan_mu_) = 0;
 
   // Persist coordination. The cvs only block/wake; their predicates read

@@ -5,24 +5,24 @@
 // number, release everyone, publish the number for piggybackers, then
 // iterate Memtable + immutable Memtable + disk validating per-entry
 // sequence numbers. An entry newer than the scan number means an in-place
-// update raced the scan: restart; after `scan_restart_threshold` restarts
-// fall back to a pass that briefly blocks Memtable writers (liveness).
+// update raced the scan: restart; after kScanRestartLimit restarts fall
+// back to a pass that briefly blocks Memtable writers (liveness).
 //
 // Piggybacking scan: a scan that begins while another scan runs reuses the
 // published sequence number (no re-drain); chains are bounded by
-// kPiggybackChainLimit. Piggyback restarts take a fresh sequence
-// number without re-draining. Master scans are linearizable w.r.t.
-// updates (linearization point: the Membuffer pointer swap); piggybacked
-// scans are serializable.
+// kPiggybackChainLimit. Every other scan is a master: that is the whole
+// election rule. Piggyback restarts take a fresh sequence number without
+// re-draining. Master scans are linearizable w.r.t. updates
+// (linearization point: the Membuffer pointer swap); piggybacked scans
+// are serializable.
 //
 // Every range read is a chunked iterator (NewScanIterator; Scan is one
-// chunk of it). The election happens once at open, honoring the
-// snapshot_mode hint, and the scan holds its master/piggyback slot
-// through its first chunk only. Each fetch collects up to
-// scan_chunk_size live entries resuming just past the last emitted key;
-// a seq violation restarts only the current chunk — with a full master
-// re-drain in the first chunk, a fresh seq afterwards. Serializable per
-// chunk, never moving backwards in time (DESIGN.md §4).
+// chunk of it). The election happens once at open, and the scan holds
+// its master/piggyback slot through its first chunk only. Each fetch
+// collects up to scan_chunk_size live entries resuming just past the
+// last emitted key; a seq violation restarts only the current chunk —
+// with a full master re-drain in the first chunk, a fresh seq afterwards.
+// Serializable per chunk, never moving backwards in time (DESIGN.md §4).
 
 #include "flodb/core/flodb.h"
 
@@ -111,38 +111,24 @@ void FloDB::EstablishMasterSeq(uint64_t* seq) {
       published_seq_ = *seq;
       published_valid_ = true;
       chain_len_ = 0;
-      reuse_count_ = 0;
     }
     scan_cv_.SignalAll();
   }
 }
 
-FloDB::ScanTicket FloDB::BeginScan(SnapshotMode mode) {
+FloDB::ScanTicket FloDB::BeginScan() {
   ScanTicket ticket;
   {
     MutexLock lock(scan_mu_);
     while (true) {
-      if (mode != SnapshotMode::kMaster && published_valid_) {
-        // Piggyback: another scan is running and its chain has budget.
-        if (running_scans_ > 0 && chain_len_ < kPiggybackChainLimit) {
-          ticket.seq = published_seq_;
-          ++chain_len_;
-          ++running_scans_;
-          piggyback_scans_.fetch_add(1, std::memory_order_relaxed);
-          return ticket;
-        }
-        // Low-concurrency reuse (§4.4 optimization): no scan running, but
-        // a recent master seq with remaining budget — skip the full
-        // drain. The kPiggyback hint accepts the (serializable) reused
-        // seq unconditionally.
-        if (reuse_count_ < options_.scan_master_reuse_limit ||
-            mode == SnapshotMode::kPiggyback) {
-          ticket.seq = published_seq_;
-          ++reuse_count_;
-          ++running_scans_;
-          piggyback_scans_.fetch_add(1, std::memory_order_relaxed);
-          return ticket;
-        }
+      // Piggyback: a published seq means a scan is running (EndScan
+      // withdraws it when the last one ends), and its chain has budget.
+      if (published_valid_ && chain_len_ < kPiggybackChainLimit) {
+        ticket.seq = published_seq_;
+        ++chain_len_;
+        ++running_scans_;
+        piggyback_scans_.fetch_add(1, std::memory_order_relaxed);
+        return ticket;
       }
       if (!master_busy_) {
         master_busy_ = true;
@@ -165,9 +151,9 @@ void FloDB::EndScan(const ScanTicket& ticket) {
     if (ticket.is_master) {
       master_busy_ = false;
     }
-    if (running_scans_ == 0 && options_.scan_master_reuse_limit == 0) {
-      // Strict mode: sequence numbers don't outlive the chain. With reuse
-      // enabled the seq stays published until its reuse budget runs out.
+    if (running_scans_ == 0) {
+      // A sequence number never outlives its chain: the next scan is a
+      // master.
       published_valid_ = false;
     }
   }
@@ -185,7 +171,7 @@ Status FloDB::FetchChunk(ScanTicket* ticket, const Slice& start, bool exclusive,
       return pass_error;
     }
     scan_restarts_.fetch_add(1, std::memory_order_relaxed);
-    if (++restarts >= options_.scan_restart_threshold) {
+    if (++restarts >= kScanRestartLimit) {
       return FallbackPass(start, high_key, limit, exclusive, out);
     }
     if (ticket->is_master && !exclusive) {
@@ -206,7 +192,7 @@ std::unique_ptr<ScanIterator> FloDB::NewScanIterator(const ReadOptions& options,
   if (options.fill_stats) {
     scans_.fetch_add(1, std::memory_order_relaxed);
   }
-  ScanTicket ticket = BeginScan(options.snapshot_mode);
+  ScanTicket ticket = BeginScan();
   auto iter = std::make_unique<ScanIterator>(
       low_key, options.scan_chunk_size,
       [this, ticket, high = high_key.ToString()](const Slice& start, bool exclusive, size_t limit,

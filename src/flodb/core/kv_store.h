@@ -11,8 +11,8 @@
 //   Get(ReadOptions, key, value)       — point lookup.
 //   NewScanIterator(ReadOptions, l, h) — pull-based range scan that
 //       streams results in bounded chunks instead of materializing the
-//       whole range; ReadOptions::snapshot_mode hints the snapshot
-//       protocol (FloDB: master vs. piggyback, paper §4.4). Every store
+//       whole range. Each store picks its own snapshot (FloDB: piggyback
+//       on a running scan, else master, paper §4.4). Every store
 //       implements range reads here and only here.
 //   Scan(ReadOptions, l, h, limit, out) — a one-chunk read of that
 //       iterator (chunk size = limit), so the whole result is one
@@ -66,19 +66,7 @@ struct StoreStats {
   DiskComponent::Stats disk;
 };
 
-// Snapshot protocol hint for scans (FloDB honors it; baselines, whose
-// multi-versioned scans are always snapshot reads, ignore it).
-enum class SnapshotMode : uint8_t {
-  kAuto,       // store picks: piggyback on a running scan, else master
-  kMaster,     // force a fresh master snapshot (linearizable, pays the
-               // Membuffer swap + full drain)
-  kPiggyback,  // reuse any published snapshot seq (serializable, cheap);
-               // falls back to master when none is available
-};
-
 struct ReadOptions {
-  SnapshotMode snapshot_mode = SnapshotMode::kAuto;
-
   // Update the store's per-operation counters. Turn off for internal or
   // bookkeeping reads that would skew benchmark stats.
   bool fill_stats = true;

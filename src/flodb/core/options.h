@@ -2,7 +2,8 @@
 //
 // Defaults reflect the paper's configuration scaled to test size: the
 // memory budget splits 1/4 Membuffer : 3/4 Memtable (§5.1), multi-insert
-// draining, scan restart threshold with fallback.
+// draining. The scan protocol (§4.4) has no knobs: its election rule and
+// restart limit are fixed in FloDB (DESIGN.md §4).
 
 #ifndef FLODB_CORE_OPTIONS_H_
 #define FLODB_CORE_OPTIONS_H_
@@ -27,18 +28,6 @@ struct FloDbOptions {
   // Drain with skiplist multi-inserts (true) or one insert per entry
   // ("HT, simple insert SL" variant, Figure 17).
   bool use_multi_insert = true;
-
-  // Scan machinery (§4.4).
-  int scan_restart_threshold = 3;
-
-  // The paper's low-concurrency optimization: a scan that starts while NO
-  // other scan is running may still reuse the previous master's sequence
-  // number up to this many times, skipping the Membuffer swap + full
-  // drain. Such scans are serializable (they may miss updates still
-  // sitting in the Membuffer), not linearizable — exactly the piggyback
-  // guarantee. 0 (default) disables reuse: every master scan establishes
-  // a fresh sequence number and is linearizable w.r.t. updates.
-  int scan_master_reuse_limit = 0;
 
   // Persist immutable Memtables to the disk component. When false they
   // are dropped after the swap — the memory-component-only mode used by

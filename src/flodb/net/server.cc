@@ -541,11 +541,11 @@ void Server::DispatchCommand(Connection* conn, const RespCommand& cmd) {
       }
     }
   } else if (verb == "SCAN") {
-    // SCAN <low> <high> [COUNT n] — a range scan [low, high) over the
-    // store's streaming iterator (an empty <high> is unbounded), replying
-    // with a flat key,value,... array. This is deliberately FloDB's
-    // range-scan surface behind a SCAN-shaped verb, not Redis's
-    // cursor-based keyspace walk.
+    // SCAN <low> <high> [COUNT n] — a range scan [low, high) read as one
+    // chunk of at most n entries, so one snapshot (an empty <high> is
+    // unbounded), replying with a flat key,value,... array. This is
+    // deliberately FloDB's range-scan surface behind a SCAN-shaped verb,
+    // not Redis's cursor-based keyspace walk.
     size_t count = 0;
     bool ok = cmd.args.size() == 3 || cmd.args.size() == 5;
     if (ok && cmd.args.size() == 5) {
@@ -561,13 +561,10 @@ void Server::DispatchCommand(Connection* conn, const RespCommand& cmd) {
       if (count == 0 || count > kScanMaxEntries) {
         count = kScanMaxEntries;
       }
-      auto it = store_->NewScanIterator(ReadOptions(), cmd.args[1], cmd.args[2]);
       std::vector<std::pair<std::string, std::string>> rows;
-      for (; it->Valid() && rows.size() < count; it->Next()) {
-        rows.emplace_back(it->key().ToString(), it->value().ToString());
-      }
-      if (!it->status().ok()) {
-        RespAppendError(&reply, "ERR scan failed: " + it->status().ToString());
+      const Status s = store_->Scan(ReadOptions(), cmd.args[1], cmd.args[2], count, &rows);
+      if (!s.ok()) {
+        RespAppendError(&reply, "ERR scan failed: " + s.ToString());
       } else {
         RespAppendArrayHeader(&reply, rows.size() * 2);
         for (const auto& [key, value] : rows) {

@@ -8,7 +8,9 @@
 
 #include <atomic>
 #include <memory>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "flodb/bench_util/workload.h"
 #include "flodb/common/key_codec.h"
@@ -327,6 +329,37 @@ TEST_P(BaselineStoreTest, IteratorResumesPastAKeyDeletedBetweenChunks) {
       EXPECT_EQ(streamed[i], K(base + i)) << "base=" << base;
     }
   }
+}
+
+// A scan over an unreadable table fails with the table's error instead of
+// returning the readable rest as if it were the whole range.
+TEST_P(BaselineStoreTest, CorruptTableFailsTheScan) {
+  Open();
+  for (uint64_t i = 0; i < 100; ++i) {
+    ASSERT_TRUE(store_->Put(Slice(K(i)), Slice("v" + std::to_string(i))).ok());
+  }
+  ASSERT_TRUE(store_->FlushAll().ok());
+  store_.reset();
+
+  std::vector<std::string> children;
+  ASSERT_TRUE(env_.GetChildren("/db", &children).ok());
+  int tables = 0;
+  for (const std::string& name : children) {
+    if (name.size() > 4 && name.substr(name.size() - 4) == ".sst") {
+      const std::string path = "/db/" + name;
+      std::string data;
+      ASSERT_TRUE(ReadFileToString(&env_, path, &data).ok());
+      data[10] = static_cast<char>(data[10] ^ 0x1);  // a bit in the first data block
+      ASSERT_TRUE(WriteStringToFile(&env_, Slice(data), path, true).ok());
+      ++tables;
+    }
+  }
+  ASSERT_GT(tables, 0);
+
+  Open();
+  std::vector<std::pair<std::string, std::string>> out;
+  const Status s = store_->Scan(Slice(), Slice(), 0, &out);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString() << " after " << out.size() << " entries";
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,8 +1,8 @@
 // Configuration-sweep (ablation) tests: every FloDbOptions knob of the
-// memory component (Membuffer share, scan restarts, master reuse, drain
-// insert mode) must preserve correctness — the same randomized workload
-// passes against a reference model under every configuration, and the
-// mechanism-specific stats confirm the knob actually engaged.
+// memory component (Membuffer share, drain insert mode) must preserve
+// correctness — the same randomized workload passes against a reference
+// model under every configuration, and the mechanism-specific stats
+// confirm the knob actually engaged.
 
 #include <gtest/gtest.h>
 
@@ -32,8 +32,6 @@ std::string K(uint64_t i) { return EncodeKey(SpreadKey(i, kSpace)); }
 struct AblationConfig {
   const char* name;
   double membuffer_fraction = 0.25;
-  int restart_threshold = 3;
-  int master_reuse = 0;
   bool multi_insert = true;
 };
 
@@ -45,8 +43,6 @@ TEST_P(FloDBAblationTest, RandomizedWorkloadMatchesModel) {
   FloDbOptions options;
   options.memory_budget_bytes = 512 << 10;
   options.membuffer_fraction = ablation.membuffer_fraction;
-  options.scan_restart_threshold = ablation.restart_threshold;
-  options.scan_master_reuse_limit = ablation.master_reuse;
   options.use_multi_insert = ablation.multi_insert;
   options.disk.env = &env;
   options.disk.path = "/db";
@@ -85,8 +81,7 @@ TEST_P(FloDBAblationTest, RandomizedWorkloadMatchesModel) {
     }
   }
 
-  // Final full scan vs model. (Master-reuse configs are serializable; a
-  // FlushAll drains everything so the final scan still sees the world.)
+  // Final full scan vs model.
   ASSERT_TRUE(db->FlushAll().ok());
   std::vector<std::pair<std::string, std::string>> all;
   ASSERT_TRUE(db->Scan(Slice(), Slice(), 0, &all).ok());
@@ -104,8 +99,6 @@ INSTANTIATE_TEST_SUITE_P(
         AblationConfig{.name = "Defaults"},
         AblationConfig{.name = "TinyMembuffer", .membuffer_fraction = 0.05},
         AblationConfig{.name = "HugeMembuffer", .membuffer_fraction = 0.75},
-        AblationConfig{.name = "HairTriggerFallback", .restart_threshold = 1},
-        AblationConfig{.name = "SeqReuse", .master_reuse = 8},
         AblationConfig{.name = "SimpleInsertDrain", .multi_insert = false}),
     [](const ::testing::TestParamInfo<AblationConfig>& info) { return info.param.name; });
 

@@ -118,6 +118,63 @@ TEST(ServerLoopbackTest, ScanRangeIsOrderedAndHighExclusive) {
   ASSERT_EQ(reply.elements.size(), 4u);
 }
 
+// Forwards every call to a real store and records the chunk size of the
+// last range read opened through it.
+class ChunkRecordingStore final : public KVStore {
+ public:
+  explicit ChunkRecordingStore(KVStore* base) : base_(base) {}
+
+  Status Write(const WriteOptions& options, WriteBatch* batch) override {
+    return base_->Write(options, batch);
+  }
+  Status Get(const ReadOptions& options, const Slice& key, std::string* value) override {
+    return base_->Get(options, key, value);
+  }
+  std::unique_ptr<ScanIterator> NewScanIterator(const ReadOptions& options, const Slice& low_key,
+                                                const Slice& high_key) override {
+    last_chunk_size.store(options.scan_chunk_size);
+    return base_->NewScanIterator(options, low_key, high_key);
+  }
+  Status FlushAll() override { return base_->FlushAll(); }
+  StoreStats GetStats() const override { return base_->GetStats(); }
+  std::string Name() const override { return base_->Name(); }
+
+  std::atomic<size_t> last_chunk_size{0};
+
+ private:
+  KVStore* const base_;
+};
+
+// SCAN ... COUNT n reads exactly n entries: one chunk of n, not a default
+// chunk cut short after n.
+TEST(ServerLoopbackTest, ScanCountSizesTheStoreRead) {
+  MemEnv env;
+  FloDbOptions options;
+  options.disk.env = &env;
+  options.disk.path = "/db";
+  std::unique_ptr<FloDB> db;
+  ASSERT_TRUE(FloDB::Open(options, &db).ok());
+  ChunkRecordingStore store(db.get());
+  ServerOptions server_options;
+  server_options.port = 0;
+  std::unique_ptr<Server> server;
+  ASSERT_TRUE(Server::Start(server_options, &store, &server).ok());
+
+  RespClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server->port()).ok());
+  RespReply reply;
+  for (const char* key : {"k1", "k2", "k3", "k4"}) {
+    ASSERT_TRUE(client.Command({"SET", key, "v"}, &reply).ok());
+  }
+  ASSERT_TRUE(client.Command({"SCAN", "k", "", "COUNT", "2"}, &reply).ok());
+  ASSERT_EQ(reply.type, RespReply::Type::kArray);
+  ASSERT_EQ(reply.elements.size(), 4u);
+  EXPECT_EQ(reply.elements[0].str, "k1");
+  EXPECT_EQ(reply.elements[2].str, "k2");
+  EXPECT_EQ(store.last_chunk_size.load(), 2u);
+  server->Shutdown();
+}
+
 TEST(ServerLoopbackTest, PipelinedBurstFoldsIntoFewerBatches) {
   TestServer ts = StartTestServer();
   RespClient client = ts.NewClient();
