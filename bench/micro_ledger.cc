@@ -11,18 +11,24 @@
 //   resp_parse_set   memcpy_frame     parsing a SET vs copying its bytes
 //   disk_get_hot     table_get_hot    the disk component's Get vs the
 //                                     table lookup it ends in
+//   disk_get_hot_4t  disk_get_hot     per-Get time of 4 threads at once
+//                                     vs 1: what contention adds
+//   version_read     atomic_load      how a Get reaches the current
+//                                     Version vs a plain pointer load
 //
 // Each side's ns_per_op is the best of kTrials trials, the two sides
 // alternating. ci/gates.json bounds crc32c_4k's ratio, which is about 10
 // with the SSE4.2 CRC32C and about 280 with the portable table loop.
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <limits>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "flodb/bench_util/report.h"
@@ -36,6 +42,7 @@
 #include "flodb/disk/disk_component.h"
 #include "flodb/disk/mem_env.h"
 #include "flodb/disk/table_reader.h"
+#include "flodb/disk/version.h"
 #include "flodb/disk/wal.h"
 #include "flodb/mem/membuffer.h"
 #include "flodb/mem/memtable.h"
@@ -70,6 +77,38 @@ double NsPerOp(Timed<Reset, Op>& timed) {
   }
   const std::chrono::duration<double, std::nano> elapsed = std::chrono::steady_clock::now() - start;
   return elapsed.count() / static_cast<double>(timed.ops);
+}
+
+// `threads` threads each run `op(i)` for i in [0, ops) at the same time;
+// the time is per op of one thread, so without contention it is one
+// thread's time. `op` keeps any per-thread state thread_local.
+template <typename Op>
+struct Parallel {
+  int threads;
+  uint64_t ops;
+  Op op;
+};
+
+template <typename Op>
+double NsPerOp(Parallel<Op>& parallel) {
+  std::atomic<bool> go{false};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < parallel.threads; ++t) {
+    workers.emplace_back([&] {
+      while (!go.load(std::memory_order_acquire)) {
+      }
+      for (uint64_t i = 0; i < parallel.ops; ++i) {
+        parallel.op(i);
+      }
+    });
+  }
+  const auto start = std::chrono::steady_clock::now();
+  go.store(true, std::memory_order_release);
+  for (std::thread& worker : workers) {
+    worker.join();
+  }
+  const std::chrono::duration<double, std::nano> elapsed = std::chrono::steady_clock::now() - start;
+  return elapsed.count() / static_cast<double>(parallel.ops);
 }
 
 template <typename Layer, typename Ref>
@@ -264,8 +303,33 @@ void LedgerDiskGet(Report* report) {
   auto table_get = [&](uint64_t i) {
     Keep(reader->Get(buf.Set((i % kHot) * (kKeys / kHot)), &value, nullptr, nullptr).ok());
   };
+  auto disk_get_4t = [&](uint64_t i) {
+    thread_local KeyBuf key;
+    thread_local std::string out;
+    Keep(disk->Get(key.Set((i % kHot) * (kKeys / kHot)), &out, nullptr, nullptr).ok());
+  };
   AddRow(report, "disk_get_hot", Timed{200'000, kNoReset, disk_get}, "table_get_hot",
          Timed{200'000, kNoReset, table_get});
+  AddRow(report, "disk_get_hot_4t", Parallel{4, 200'000, disk_get_4t}, "disk_get_hot",
+         Timed{200'000, kNoReset, disk_get});
+}
+
+// What DiskComponent::Get does to reach the current Version, against a
+// plain atomic load of a pointer.
+void LedgerVersionRead(Report* report) {
+  MemEnv env;
+  VersionSet versions(&env, "/ledger", 7);
+  if (!versions.Recover().ok()) {
+    return;
+  }
+  const std::atomic<const void*> pointer{&versions};
+  auto version_read = [&](uint64_t) {
+    const VersionSet::ReadSection section(versions);
+    Keep(&section.version());
+  };
+  auto atomic_load = [&](uint64_t) { Keep(pointer.load(std::memory_order_seq_cst)); };
+  AddRow(report, "version_read", Timed{5'000'000, kNoReset, version_read}, "atomic_load",
+         Timed{5'000'000, kNoReset, atomic_load});
 }
 
 }  // namespace
@@ -280,5 +344,6 @@ int main(int argc, char** argv) {
   LedgerWal(&report);
   LedgerResp(&report);
   LedgerDiskGet(&report);
+  LedgerVersionRead(&report);
   return report.WriteJson(JsonPathFromArgs(argc, argv)) ? 0 : 1;
 }

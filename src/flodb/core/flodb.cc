@@ -206,11 +206,19 @@ Status FloDB::ApplyBatchToMemory(const WriteOptions& options, WriteBatch* batch,
     spill.clear();
     if (options_.enable_membuffer) {
       MemBuffer* mbf = mbf_.load(std::memory_order_seq_cst);
+      bool added = false;
       for (uint32_t index : pending) {
         const BatchEntryRef& e = entries[index];
-        if (mbf->Add(e.key, e.value, e.type) == MemBuffer::AddResult::kFull) {
+        const MemBuffer::AddResult result = mbf->Add(e.key, e.value, e.type);
+        if (result == MemBuffer::AddResult::kFull) {
           spill.push_back(index);
         }
+        added |= result == MemBuffer::AddResult::kAdded;
+      }
+      // After Add's seq_cst count increment: the other half of the
+      // drainer's park (ParkDrainer).
+      if (added && drainer_parked_.load(std::memory_order_seq_cst)) {
+        WakeDrainer();
       }
       membuffer_adds_.fetch_add(pending.size() - spill.size(), std::memory_order_relaxed);
     } else {
@@ -409,6 +417,7 @@ StoreStats FloDB::GetStats() const {
   stats.group_commit_groups = wal_.groups();
   stats.group_commit_writers = wal_.committed_writers();
   stats.persist_failures = persist_failures_.load(std::memory_order_relaxed);
+  stats.drainer_parks = drainer_parks_.load(std::memory_order_relaxed);
   if (disk_ != nullptr) {
     stats.disk = disk_->GetStats();
   }

@@ -5,14 +5,18 @@
 //                  entry tries the Membuffer (hash table); spilled
 //                  entries multi-insert into the Memtable under one
 //                  contiguous seq range. Put/Delete are one-entry batches.
-//   Get         -> MBF, IMM_MBF, MTB, IMM_MTB, DISK (freshest-first order)
+//   Get         -> MBF, IMM_MBF, MTB, IMM_MTB, DISK (freshest-first order);
+//                  DISK reads the current Version in the VersionSet's own
+//                  RCU read section, with no lock or refcount.
 //   Scan        -> master/piggyback protocol: swap + fully drain the
 //                  Membuffer, take a scan seq, then iterate
 //                  MTB+IMM_MTB+DISK validating entry seqs; bounded
 //                  restarts, then a fallback pass. NewScanIterator
 //                  streams it in bounded chunks; Scan is one chunk.
-//   Draining    -> background threads move Membuffer entries into the
-//                  Memtable with skiplist multi-inserts.
+//   Draining    -> a background thread moves Membuffer entries into the
+//                  Memtable with skiplist multi-inserts. Once the buffer
+//                  has stayed empty for about 1 ms it parks; a write that
+//                  installs a new entry wakes it.
 //   Persisting  -> background thread swaps a full Memtable via RCU and
 //                  writes it to the disk component.
 //
@@ -93,6 +97,12 @@ class FloDB final : public KVStore {
   void StartBackgroundThreads();
   void StopBackgroundThreads() EXCLUDES(persist_mu_);
   void DrainLoop();
+  // Parks the drainer until a write installs a Membuffer entry or the
+  // store stops. A 50 ms timed wake retries a broken WAL, then parks
+  // again at once if the buffer is still empty.
+  void ParkDrainer() EXCLUDES(drain_mu_);
+  void WakeDrainer() EXCLUDES(drain_mu_);
+  bool ActiveMembufferEmpty();
   void PersistLoop();
   // One unit of cooperative help on the immutable Membuffer; returns true
   // if a chunk was processed.
@@ -263,6 +273,16 @@ class FloDB final : public KVStore {
   // Memtable. Thread-confined to the persist thread, so not lock-guarded.
   std::vector<uint64_t> pending_wal_deletes_;
 
+  // Drainer park/wake (DESIGN.md §1). drainer_parked_ and the active
+  // Membuffer's live-entry count are a Dekker pair, seq_cst on both
+  // sides: a writer increments the count, then loads the flag; the
+  // drainer stores the flag, then re-reads the count. Aligned off the
+  // hot fields declared before it: every Add that installs an entry
+  // reads it.
+  alignas(64) std::atomic<bool> drainer_parked_{false};
+  Mutex drain_mu_;  // a leaf: only orders the park against a wake
+  CondVar drain_cv_;
+
   std::thread drain_thread_;  // started only when the Membuffer is enabled
   std::thread persist_thread_;
   std::atomic<bool> stop_{false};
@@ -277,6 +297,7 @@ class FloDB final : public KVStore {
   mutable std::atomic<uint64_t> master_scans_{0}, piggyback_scans_{0};
   mutable std::atomic<uint64_t> membuffer_rotations_{0};
   mutable std::atomic<uint64_t> persist_failures_{0};
+  mutable std::atomic<uint64_t> drainer_parks_{0};
 };
 
 }  // namespace flodb

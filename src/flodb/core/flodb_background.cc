@@ -16,6 +16,13 @@ namespace flodb {
 namespace {
 
 constexpr auto kDrainIdleSleep = std::chrono::microseconds(100);
+// Idle sleeps in a row, with the active Membuffer empty, before the
+// drainer parks: about 1 ms, so the short gaps of a write burst never pay
+// for a wake.
+constexpr int kIdleSleepsBeforePark = 10;
+// A parked drainer's timed wake, which retries a broken WAL: the WAL's own
+// repair backoff.
+constexpr auto kParkTimeout = std::chrono::milliseconds(50);
 // Entries one drain pass collects from a Membuffer partition.
 constexpr size_t kDrainBatch = 64;
 constexpr size_t kHelpDrainChunkBuckets = 64;
@@ -39,6 +46,7 @@ void FloDB::StopBackgroundThreads() {
     stop_.store(true, std::memory_order_seq_cst);
   }
   TriggerPersist();
+  WakeDrainer();
   if (drain_thread_.joinable()) {
     drain_thread_.join();
   }
@@ -48,6 +56,46 @@ void FloDB::StopBackgroundThreads() {
 }
 
 void FloDB::TriggerPersist() { persist_work_cv_.Signal(); }
+
+void FloDB::WakeDrainer() {
+  // Under drain_mu_: the drainer checks its wake conditions and starts
+  // waiting under it, so the signal cannot fall between the two.
+  MutexLock lock(drain_mu_);
+  drain_cv_.Signal();
+}
+
+bool FloDB::ActiveMembufferEmpty() {
+  RcuReadGuard guard(rcu_);
+  return mbf_.load(std::memory_order_seq_cst)->LiveEntries() == 0;
+}
+
+void FloDB::ParkDrainer() {
+  while (true) {
+    {
+      MutexLock lock(drain_mu_);
+      // The flag store and the emptiness re-check form a Dekker pair with
+      // a writer's count increment and flag load (ApplyBatchToMemory):
+      // either this re-check sees the new entry, or that writer sees the
+      // flag and signals.
+      drainer_parked_.store(true, std::memory_order_seq_cst);
+      bool timed_out = false;
+      if (!stop_.load(std::memory_order_seq_cst) && ActiveMembufferEmpty()) {
+        drainer_parks_.fetch_add(1, std::memory_order_relaxed);
+        timed_out = !drain_cv_.WaitFor(drain_mu_, kParkTimeout);
+      }
+      drainer_parked_.store(false, std::memory_order_relaxed);
+      if (!timed_out) {
+        return;  // work, stop, or a spurious wake: back to the drain loop
+      }
+    }
+    // A broken WAL (failed rotation/append/fsync) heals here, so writes
+    // resume without waiting for the next Memtable swap. Lock-free no-op
+    // when healthy. Then park again at once if the buffer is still empty.
+    if (options_.enable_wal) {
+      wal_.Repair();
+    }
+  }
+}
 
 // Sorts, stamps sequence numbers, and inserts a collected batch into the
 // active Memtable — the step between "mark" and "remove" of the drain
@@ -85,15 +133,9 @@ void FloDB::DrainLoop() {
   std::vector<DrainedEntry> batch;
   batch.reserve(kDrainBatch);
   uint64_t empty_passes = 0;
+  int empty_sleeps = 0;
 
   while (!stop_.load(std::memory_order_relaxed)) {
-    // A broken WAL (failed rotation/append/fsync) heals here: each drain
-    // cycle retries opening a fresh log so writes resume without waiting
-    // for the next Memtable swap. Lock-free no-op when healthy.
-    if (options_.enable_wal) {
-      wal_.Repair();
-    }
-
     if (pause_draining_.load(std::memory_order_seq_cst)) {
       std::this_thread::sleep_for(kDrainIdleSleep);
       continue;
@@ -133,13 +175,17 @@ void FloDB::DrainLoop() {
 
     size_t collected = 0;
     uint64_t mbf_partitions = 0;
+    bool empty;
     {
       RcuReadGuard guard(rcu_);
       MemBuffer* mbf = mbf_.load(std::memory_order_seq_cst);
       // The pause is re-read after the buffer: a swap raises it before
       // installing the new buffer, so a pass that sees the new buffer
       // leaves it alone until the old one is drained and unreadable.
-      if (mbf != nullptr && !pause_draining_.load(std::memory_order_seq_cst)) {
+      const bool paused = pause_draining_.load(std::memory_order_seq_cst);
+      // Nothing to collect: skip walking the buckets.
+      empty = !paused && mbf->LiveEntries() == 0;
+      if (!paused && !empty) {
         mbf_partitions = mbf->NumPartitions();
         const uint64_t partition = mbf->ClaimPartition();
         collected = mbf->CollectAndMark(partition, kDrainBatch, &batch);
@@ -151,10 +197,22 @@ void FloDB::DrainLoop() {
     }
 
     batch.clear();
+    if (empty) {
+      // Draining is continuous while there is work (§4.2), not a
+      // busy-wait: once the buffer has stayed empty for about 1 ms, park
+      // until a write installs an entry.
+      if (++empty_sleeps >= kIdleSleepsBeforePark) {
+        ParkDrainer();
+        empty_sleeps = 0;
+      } else {
+        std::this_thread::sleep_for(kDrainIdleSleep);
+      }
+      continue;
+    }
+    empty_sleeps = 0;
     if (collected == 0) {
       // Nothing drainable in that partition; back off a little once the
-      // whole table looks empty, but stay eager: "draining is a
-      // continuously ongoing process" (§4.2).
+      // whole table looks empty, but stay eager.
       if (++empty_passes > 2 * mbf_partitions) {
         std::this_thread::sleep_for(kDrainIdleSleep);
         empty_passes = 0;

@@ -62,6 +62,7 @@ struct StoreStats {
   uint64_t master_scans = 0;
   uint64_t piggyback_scans = 0;
   uint64_t membuffer_rotations = 0;
+  uint64_t drainer_parks = 0;  // times the idle drainer parked
 
   DiskComponent::Stats disk;
 };

@@ -250,29 +250,23 @@ Status DiskComponent::AddRun(Iterator* iter, uint64_t log_number) {
 
 Status DiskComponent::Get(const Slice& key, std::string* value, uint64_t* seq,
                           ValueType* type) const {
-  std::shared_ptr<const Version> version = versions_->Current();
+  const VersionSet::ReadSection section(*versions_);
+  const Version& version = section.version();
 
-  // Level 0: overlapping files; consult in decreasing max-seq order so the
-  // first hit is the freshest version of the key.
-  std::vector<const FileMetaData*> l0;
-  for (const FileMetaData& f : version->LevelFiles(0)) {
+  // Level 0: overlapping files, kept newest-first, so the first hit is
+  // the freshest version of the key.
+  for (const FileMetaData& f : version.LevelFiles(0)) {
     if (f.ContainsKey(key)) {
-      l0.push_back(&f);
-    }
-  }
-  std::sort(l0.begin(), l0.end(), [](const FileMetaData* a, const FileMetaData* b) {
-    return a->largest_seq > b->largest_seq;
-  });
-  for (const FileMetaData* f : l0) {
-    Status s = f->table->Get(key, value, seq, type);
-    if (!s.IsNotFound()) {
-      return s;  // hit or error
+      Status s = f.table->Get(key, value, seq, type);
+      if (!s.IsNotFound()) {
+        return s;  // hit or error
+      }
     }
   }
 
   // Levels >= 1: at most one file per level can contain the key.
-  for (int level = 1; level < version->NumLevels(); ++level) {
-    const auto& files = version->LevelFiles(level);
+  for (int level = 1; level < version.NumLevels(); ++level) {
+    const auto& files = version.LevelFiles(level);
     // Binary search: files sorted by smallest key, ranges disjoint.
     size_t lo = 0, hi = files.size();
     while (lo < hi) {

@@ -10,9 +10,11 @@
 // Every live table is open: its TableReader opens once, when the file is
 // installed (flush, compaction output, recovery), rides in the
 // FileMetaData of each Version naming it, and closes — purging its blocks
-// from the block cache — on whichever thread frees the last such
-// Version. A read pins the current Version and reaches its tables
-// directly, with no per-table lookup or refcount.
+// from the block cache — when the last such Version is freed: on the
+// flush or compaction thread that replaced it, after an RCU grace period,
+// or on the last iterator that pinned it; never on a Get. A Get reads the
+// current Version inside a VersionSet::ReadSection (no mutex, refcount
+// or allocation) and reaches its tables directly.
 
 #ifndef FLODB_DISK_DISK_COMPONENT_H_
 #define FLODB_DISK_DISK_COMPONENT_H_
@@ -81,7 +83,8 @@ class DiskComponent {
   // installed.
   Status AddRun(Iterator* iter, uint64_t log_number = 0);
 
-  // Point lookup across all levels; freshest version wins.
+  // Point lookup across all levels; freshest version wins. Takes no
+  // lock: the Version is read inside an RCU read section.
   Status Get(const Slice& key, std::string* value, uint64_t* seq, ValueType* type) const;
 
   // Merged scan: one child per L0 file plus ONE lazy concatenating

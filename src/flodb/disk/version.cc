@@ -53,6 +53,24 @@ std::vector<FileMetaData> Version::OverlappingFiles(int level, const Slice& begi
   return result;
 }
 
+void Version::SortLevels() {
+  // L0 newest-first: a Get takes the first hit. Sequence ranges of
+  // flushed runs are disjoint; the number breaks a tie only in metadata a
+  // test fabricates.
+  std::sort(levels_[0].begin(), levels_[0].end(),
+            [](const FileMetaData& a, const FileMetaData& b) {
+              return a.largest_seq != b.largest_seq ? a.largest_seq > b.largest_seq
+                                                    : a.number > b.number;
+            });
+  // Levels >= 1 by smallest key (disjoint ranges).
+  for (size_t level = 1; level < levels_.size(); ++level) {
+    std::sort(levels_[level].begin(), levels_[level].end(),
+              [](const FileMetaData& a, const FileMetaData& b) {
+                return Slice(a.smallest).compare(Slice(b.smallest)) < 0;
+              });
+  }
+}
+
 bool Version::IsBottommostForRange(int level, const Slice& begin, const Slice& end) const {
   for (int l = level + 1; l < NumLevels(); ++l) {
     if (!OverlappingFiles(l, begin, end).empty()) {
@@ -64,16 +82,22 @@ bool Version::IsBottommostForRange(int level, const Slice& begin, const Slice& e
 
 VersionSet::VersionSet(Env* env, std::string dbname, int num_levels)
     : env_(env), dbname_(std::move(dbname)), num_levels_(num_levels) {
-  current_ = std::make_shared<Version>(num_levels_);
-  registry_.emplace_back(current_);
+  MutexLock lock(mu_);
+  InstallLocked(std::make_shared<Version>(num_levels_));
 }
 
-void VersionSet::RegisterVersionLocked(const std::shared_ptr<const Version>& v) {
+std::shared_ptr<const Version> VersionSet::InstallLocked(std::shared_ptr<const Version> v) {
   mu_.AssertHeld();
+  std::shared_ptr<const Version> replaced = std::move(current_);
+  current_ = std::move(v);
+  // Before the caller's Synchronize: a ReadSection entered after the
+  // grace period begins must load the new Version.
+  published_.store(current_.get(), std::memory_order_seq_cst);
   registry_.erase(std::remove_if(registry_.begin(), registry_.end(),
                                  [](const std::weak_ptr<const Version>& w) { return w.expired(); }),
                   registry_.end());
-  registry_.emplace_back(v);
+  registry_.emplace_back(current_);
+  return replaced;
 }
 
 std::string VersionSet::TableFileName(uint64_t number) const {
@@ -128,12 +152,15 @@ Status VersionSet::Recover(const std::function<Status(FileMetaData*)>& open_tabl
       }
     }
   }
-  MutexLock lock(mu_);
-  log_number_ = log_number;
-  manifest_number_ = live_manifest;
-  current_manifest_number_ = live_manifest;
-  current_ = std::move(v);
-  RegisterVersionLocked(current_);
+  std::shared_ptr<const Version> replaced;
+  {
+    MutexLock lock(mu_);
+    log_number_ = log_number;
+    manifest_number_ = live_manifest;
+    current_manifest_number_ = live_manifest;
+    replaced = InstallLocked(std::move(v));
+  }
+  rcu_.Synchronize();
   return Status::OK();
 }
 
@@ -252,16 +279,11 @@ Status VersionSet::LoadSnapshot(const std::string& manifest_file, std::shared_pt
       }
       f.smallest = smallest.ToString();
       f.largest = largest.ToString();
-      // Level files are stored in key order; trust but keep sorted anyway.
+      // Level files are stored in Get order; trust but keep sorted anyway.
       v->levels_[level].push_back(std::move(f));
     }
   }
-  for (auto& level_files : v->levels_) {
-    std::sort(level_files.begin(), level_files.end(),
-              [](const FileMetaData& a, const FileMetaData& b) {
-                return Slice(a.smallest).compare(Slice(b.smallest)) < 0;
-              });
-  }
+  v->SortLevels();
   // The levels section is followed by the log number, or by nothing in a
   // snapshot written before it was recorded (read as 0: replay every
   // log). Older builds could append a value-log section here instead
@@ -283,45 +305,35 @@ Status VersionSet::LoadSnapshot(const std::string& manifest_file, std::shared_pt
 }
 
 Status VersionSet::LogAndApply(const VersionEdit& edit) {
-  // Declared before the lock, so the replaced Version is freed after mu_
-  // is released: if this is its last holder, freeing it closes the
-  // tables only it names, which must not stall Current().
   std::shared_ptr<const Version> replaced;
-  MutexLock lock(mu_);
-  auto next = std::make_shared<Version>(num_levels_);
-  next->levels_ = current_->levels_;
-  for (const auto& [level, number] : edit.deleted) {
-    auto& files = next->levels_[level];
-    files.erase(std::remove_if(files.begin(), files.end(),
-                               [n = number](const FileMetaData& f) { return f.number == n; }),
-                files.end());
-  }
-  for (const auto& [level, meta] : edit.added) {
-    assert(level >= 0 && level < num_levels_);
-    next->levels_[level].push_back(meta);
-  }
-  // Keep levels >= 1 ordered by smallest key (disjoint ranges); keep L0
-  // ordered by file number (flush order) for debuggability.
-  for (int level = 1; level < num_levels_; ++level) {
-    auto& files = next->levels_[level];
-    std::sort(files.begin(), files.end(), [](const FileMetaData& a, const FileMetaData& b) {
-      return Slice(a.smallest).compare(Slice(b.smallest)) < 0;
-    });
-  }
   {
-    auto& l0 = next->levels_[0];
-    std::sort(l0.begin(), l0.end(),
-              [](const FileMetaData& a, const FileMetaData& b) { return a.number < b.number; });
+    MutexLock lock(mu_);
+    auto next = std::make_shared<Version>(num_levels_);
+    next->levels_ = current_->levels_;
+    for (const auto& [level, number] : edit.deleted) {
+      auto& files = next->levels_[level];
+      files.erase(std::remove_if(files.begin(), files.end(),
+                                 [n = number](const FileMetaData& f) { return f.number == n; }),
+                  files.end());
+    }
+    for (const auto& [level, meta] : edit.added) {
+      assert(level >= 0 && level < num_levels_);
+      next->levels_[level].push_back(meta);
+    }
+    next->SortLevels();
+    const uint64_t log_number = edit.log_number != 0 ? edit.log_number : log_number_;
+    Status s = WriteSnapshot(*next, log_number);
+    if (!s.ok()) {
+      return s;
+    }
+    log_number_ = log_number;
+    replaced = InstallLocked(std::move(next));
   }
-  const uint64_t log_number = edit.log_number != 0 ? edit.log_number : log_number_;
-  Status s = WriteSnapshot(*next, log_number);
-  if (!s.ok()) {
-    return s;
-  }
-  log_number_ = log_number;
-  replaced = std::move(current_);
-  current_ = std::move(next);
-  RegisterVersionLocked(current_);
+  // A Get may still be reading the replaced Version inside its
+  // ReadSection. After the grace period it is unreachable, and if this
+  // is its last holder, freeing it on return closes the tables only it
+  // names here, on the flush or compaction thread, outside mu_.
+  rcu_.Synchronize();
   return Status::OK();
 }
 
@@ -346,17 +358,6 @@ uint64_t VersionSet::MaxPersistedSeq() const {
     }
   }
   return max_seq;
-}
-
-std::set<uint64_t> VersionSet::LiveFileNumbers() const {
-  MutexLock lock(mu_);
-  std::set<uint64_t> live;
-  for (int level = 0; level < num_levels_; ++level) {
-    for (const FileMetaData& f : current_->LevelFiles(level)) {
-      live.insert(f.number);
-    }
-  }
-  return live;
 }
 
 std::set<uint64_t> VersionSet::AllLiveFileNumbers() const {

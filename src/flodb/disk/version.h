@@ -1,13 +1,22 @@
 // Version / VersionSet: the leveled file metadata of the disk component.
 //
 // A Version is an immutable snapshot of the file hierarchy: level 0 holds
-// possibly-overlapping flushed Memtables (searched newest-first by max
-// sequence number); levels >= 1 hold sorted, non-overlapping runs.
-// Readers pin a Version with a shared_ptr and are never blocked by
-// flushes or compactions, which install fresh Versions. Each file's
-// metadata carries its open TableReader, so pinning a Version pins every
-// table it names; a table closes when the last Version naming it is
-// freed.
+// possibly-overlapping flushed Memtables, kept newest-first (by largest
+// sequence number, the order a Get probes them); levels >= 1 hold sorted,
+// non-overlapping runs. Flushes and compactions install fresh Versions
+// and never block readers. Each file's metadata carries its open
+// TableReader, so keeping a Version keeps every table it names open; a
+// table closes when the last Version naming it is freed.
+//
+// Two ways to read the current Version:
+//   - a point lookup opens a ReadSection: an RCU read section on the
+//     VersionSet's own domain, with no mutex, refcount or allocation;
+//   - iterators, compactions and stats pin it with Current()'s shared_ptr,
+//     because they outlive a read section.
+// LogAndApply publishes the new Version, waits out a grace period, and
+// only then drops the replaced one. So a table closes (and purges its
+// blocks) on the installing thread or on the last pinning iterator,
+// never on a Get.
 //
 // Every installed Version is persisted as a full MANIFEST snapshot
 // (rewrite-on-change; simple and crash-safe at this scale) with a CURRENT
@@ -28,6 +37,7 @@
 #include "flodb/common/synchronization.h"
 #include "flodb/common/status.h"
 #include "flodb/disk/env.h"
+#include "flodb/sync/rcu.h"
 
 namespace flodb {
 
@@ -83,6 +93,10 @@ class Version {
 
  private:
   friend class VersionSet;
+
+  // L0 newest-first by largest_seq, levels >= 1 by smallest key.
+  void SortLevels();
+
   std::vector<std::vector<FileMetaData>> levels_;
 };
 
@@ -105,10 +119,30 @@ class VersionSet {
   Status Recover(const std::function<Status(FileMetaData*)>& open_table = nullptr);
 
   // Applies edit to the current version, persists the new manifest and
-  // installs the result. Thread-safe.
+  // installs the result, then waits out the grace period of every
+  // ReadSection that may still see the replaced Version. Thread-safe;
+  // never call it inside a ReadSection.
   Status LogAndApply(const VersionEdit& edit);
 
+  // Pins the current Version for as long as the caller keeps it.
   std::shared_ptr<const Version> Current() const;
+
+  // The current Version for the span of one short read: an RCU read
+  // section, no mutex and no refcount. The Version stays valid until the
+  // section ends. Hold it across no blocking wait and no LogAndApply.
+  class ReadSection {
+   public:
+    explicit ReadSection(const VersionSet& versions)
+        : guard_(versions.rcu_), version_(*versions.published_.load(std::memory_order_seq_cst)) {}
+    ReadSection(const ReadSection&) = delete;
+    ReadSection& operator=(const ReadSection&) = delete;
+
+    const Version& version() const { return version_; }
+
+   private:
+    RcuReadGuard guard_;  // declared first: entered before the load
+    const Version& version_;
+  };
 
   uint64_t NewFileNumber() { return next_file_number_.fetch_add(1, std::memory_order_relaxed); }
 
@@ -136,9 +170,6 @@ class VersionSet {
   // so recovery skips and deletes those logs. 0 when none was recorded.
   uint64_t LogNumber() const;
 
-  // File numbers referenced by the current version.
-  std::set<uint64_t> LiveFileNumbers() const;
-
   // File numbers referenced by ANY version still pinned by a reader
   // (union over the live-version registry). Garbage collection must use
   // this set: a scan holding an old Version may still open its files.
@@ -163,12 +194,19 @@ class VersionSet {
   const std::string dbname_;
   const int num_levels_;
 
-  // Registers a version for AllLiveFileNumbers and prunes expired
-  // entries.
-  void RegisterVersionLocked(const std::shared_ptr<const Version>& v) REQUIRES(mu_);
+  // Makes `v` current, publishes it to ReadSections and registers it for
+  // AllLiveFileNumbers. Returns the replaced Version: the caller drops it
+  // only after rcu_.Synchronize(), outside mu_.
+  std::shared_ptr<const Version> InstallLocked(std::shared_ptr<const Version> v) REQUIRES(mu_);
 
+  // ReadSections' domain. Its own, not the store's: LogAndApply runs on
+  // flush and compaction threads that must not wait for memory-component
+  // readers.
+  mutable Rcu rcu_;
   mutable Mutex mu_;
   std::shared_ptr<const Version> current_ GUARDED_BY(mu_);
+  // current_.get(), for ReadSections; stored under mu_.
+  std::atomic<const Version*> published_{nullptr};
   std::vector<std::weak_ptr<const Version>> registry_ GUARDED_BY(mu_);
   uint64_t log_number_ GUARDED_BY(mu_) = 0;
   std::atomic<uint64_t> next_file_number_{1};

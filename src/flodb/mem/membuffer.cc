@@ -132,7 +132,9 @@ MemBuffer::AddResult MemBuffer::Add(const Slice& key, const Slice& value, ValueT
   slot.version++;
   bucket.marked_mask &= static_cast<uint8_t>(~(1u << free_slot));
   MarkOccupied(b);
-  live_entries_.fetch_add(1, std::memory_order_relaxed);
+  // seq_cst: with the caller's load of the drainer's park flag, one half
+  // of the Dekker pair that keeps a parked drainer from missing this entry.
+  live_entries_.fetch_add(1, std::memory_order_seq_cst);
   live_bytes_.fetch_add(EntryFootprint(key, value), std::memory_order_relaxed);
   return AddResult::kAdded;
 }

@@ -115,7 +115,8 @@ class MemBuffer {
 
   // ---- introspection ----
 
-  size_t LiveEntries() const { return live_entries_.load(std::memory_order_relaxed); }
+  // seq_cst: the drainer's re-check before it parks (FloDB::ParkDrainer).
+  size_t LiveEntries() const { return live_entries_.load(std::memory_order_seq_cst); }
   size_t LiveBytes() const { return live_bytes_.load(std::memory_order_relaxed); }
   size_t CapacityBytes() const { return options_.capacity_bytes; }
   uint64_t NumBuckets() const { return num_buckets_; }

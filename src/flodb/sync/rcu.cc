@@ -94,6 +94,15 @@ void Rcu::ReadLock() {
     }
   }
   if (entry == nullptr) {
+    {
+      // Slow path: drop the entries of destroyed domains first, or every
+      // lookup above would scan one more dead entry per store this
+      // thread has used.
+      MutexLock lock(g_registry_mu);
+      std::erase_if(ts.entries, [](const ThreadState::Entry& e) {
+        return LiveSet().count(e.id) == 0;
+      });
+    }
     Slot* slot = AcquireSlot();
     ts.entries.push_back(ThreadState::Entry{id_, this, slot, 0});
     entry = &ts.entries.back();
@@ -129,7 +138,7 @@ void Rcu::ReadUnlock() {
 }
 
 bool Rcu::InReadSection() const {
-  const ThreadState& ts = const_cast<Rcu*>(this)->LocalState();
+  const ThreadState& ts = LocalState();
   for (const ThreadState::Entry& e : ts.entries) {
     if (e.id == id_) {
       return e.depth > 0;
@@ -137,6 +146,8 @@ bool Rcu::InReadSection() const {
   }
   return false;
 }
+
+size_t Rcu::ThreadEntriesForTesting() { return LocalState().entries.size(); }
 
 void Rcu::Synchronize() {
   // Establish the grace-period boundary: readers that entered at an epoch

@@ -14,12 +14,16 @@
 // at the new epoch.
 //
 // Threads register lazily on first guard and release their slot at thread
-// exit, so short-lived benchmark threads recycle slots.
+// exit, so short-lived benchmark threads recycle slots. A thread's list of
+// entered domains drops the destroyed ones whenever it first enters a
+// domain, so a long-lived thread that opens and closes many stores keeps
+// a short list.
 
 #ifndef FLODB_SYNC_RCU_H_
 #define FLODB_SYNC_RCU_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 
 namespace flodb {
@@ -46,6 +50,9 @@ class Rcu {
   // (debug aid for assertions).
   bool InReadSection() const;
 
+  // Domains the calling thread holds an entry for (test aid).
+  static size_t ThreadEntriesForTesting();
+
  private:
   struct alignas(64) Slot {
     // 0 = quiescent; otherwise the epoch at section entry.
@@ -56,7 +63,7 @@ class Rcu {
   struct ThreadState;
 
   Slot* AcquireSlot();
-  ThreadState& LocalState();
+  static ThreadState& LocalState();
 
   const uint64_t id_;  // unique per live Rcu instance (see registry in rcu.cc)
   std::atomic<uint64_t> global_epoch_{1};

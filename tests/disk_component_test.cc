@@ -1,15 +1,19 @@
 // DiskComponent: flush (AddRun), multi-level Get, compaction correctness
 // (dedup, tombstone retirement at the bottom level), iterator views,
-// recovery from MANIFEST, file garbage collection, and tables that stay
-// open from their install while the Env refuses to open files.
+// recovery from MANIFEST, file garbage collection, tables that stay open
+// from their install while the Env refuses to open files, and Gets that
+// race the compactions deleting their tables.
 
 #include "flodb/disk/disk_component.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "flodb/common/key_codec.h"
@@ -301,6 +305,55 @@ TEST_F(DiskComponentTest, FlushStormWithBackgroundCompactionLosesNothing) {
     referenced += n;
   }
   EXPECT_EQ(sst, referenced);
+}
+
+// Four readers' Gets run for 2 s while flushes and compactions replace,
+// and delete, the tables they read. A Get reads the current Version in an
+// RCU read section; a Version, and the tables only it names, are freed
+// after a grace period. Each Get must return a round at least as new as
+// the last flush completed before it started.
+TEST_F(DiskComponentTest, GetsSeeLatestValueWhileCompactionsDeleteTables) {
+  DiskOptions options = SmallDisk();
+  options.l0_compaction_trigger = 2;
+  options.compaction_threads = 2;
+  OpenDisk(options);
+  constexpr uint64_t kKeys = 400;
+  FlushRange(0, kKeys, 1, "r0_");
+
+  std::atomic<uint64_t> completed_round{0};
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> gets{0};
+  std::vector<std::thread> readers;
+  for (uint64_t t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      std::string value;
+      for (uint64_t i = t; !done.load(std::memory_order_acquire); i += 7) {
+        const uint64_t k = i % kKeys;
+        const uint64_t floor = completed_round.load(std::memory_order_acquire);
+        ASSERT_TRUE(disk_->Get(Slice(EncodeKey(k)), &value, nullptr, nullptr).ok()) << k;
+        const size_t sep = value.find('_');
+        ASSERT_NE(sep, std::string::npos) << value;
+        ASSERT_GE(std::stoull(value.substr(1, sep - 1)), floor) << "stale value " << value;
+        ASSERT_EQ(value.substr(sep + 1), std::to_string(k));
+        gets.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  uint64_t round = 0;
+  while (std::chrono::steady_clock::now() < deadline) {
+    ++round;
+    FlushRange(0, kKeys, round * kKeys + 1, "r" + std::to_string(round) + "_");
+    completed_round.store(round, std::memory_order_release);
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& reader : readers) {
+    reader.join();
+  }
+  disk_->WaitForCompactions();
+  EXPECT_GT(gets.load(), 0u);
+  EXPECT_GT(disk_->GetStats().compactions, 0u) << "no table was replaced under the readers";
 }
 
 TEST_F(DiskComponentTest, EmptyRunIsNoop) {

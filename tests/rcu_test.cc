@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -164,6 +165,24 @@ TEST(RcuTest, ConcurrentSynchronizersDoNotDeadlock) {
   for (auto& th : threads) {
     th.join();
   }
+}
+
+// A store open/close leaves a destroyed domain behind. A thread that has
+// used many of them must not keep one entry per dead domain: every read
+// section scans the list, so it would slow down for good.
+TEST(RcuTest, DestroyedDomainsLeaveNoThreadEntries) {
+  size_t entries = 0;
+  std::thread user([&] {
+    Rcu live;
+    RcuReadGuard outer(live);
+    for (int i = 0; i < 10000; ++i) {
+      auto dead = std::make_unique<Rcu>();
+      RcuReadGuard guard(*dead);
+    }
+    entries = Rcu::ThreadEntriesForTesting();
+  });
+  user.join();
+  EXPECT_LE(entries, 2u) << "one live domain, plus at most the last destroyed one";
 }
 
 }  // namespace

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "flodb/common/coding.h"
@@ -96,8 +98,8 @@ TEST_F(VersionSetTest, OldVersionsRemainValid) {
 
   // GC must still see file 1 as live while pinned...
   EXPECT_EQ(versions_.AllLiveFileNumbers().count(1), 1u);
-  // ...but not the current-only view.
-  EXPECT_EQ(versions_.LiveFileNumbers().count(1), 0u);
+  // ...though the current Version no longer names it.
+  EXPECT_TRUE(versions_.Current()->LevelFiles(0).empty());
   pinned.reset();
   EXPECT_EQ(versions_.AllLiveFileNumbers().count(1), 0u);
 }
@@ -158,6 +160,73 @@ TEST_F(VersionSetTest, LevelsStayKeySorted) {
   EXPECT_EQ(files[0].number, 4u);
   EXPECT_EQ(files[1].number, 3u);
   EXPECT_EQ(files[2].number, 5u);
+}
+
+// A Get probes L0 in this order and takes the first hit, so the order is
+// by largest sequence number, whatever order the files were numbered in.
+TEST_F(VersionSetTest, LevelZeroKeptNewestFirst) {
+  ASSERT_TRUE(versions_.Recover().ok());
+  VersionEdit edit;
+  edit.added.emplace_back(0, MakeFile(1, 0, 100, 20));
+  edit.added.emplace_back(0, MakeFile(2, 0, 100, 30));
+  edit.added.emplace_back(0, MakeFile(3, 0, 100, 10));
+  ASSERT_TRUE(versions_.LogAndApply(edit).ok());
+  const VersionSet::ReadSection section(versions_);
+  const auto& files = section.version().LevelFiles(0);
+  ASSERT_EQ(files.size(), 3u);
+  EXPECT_EQ(files[0].number, 2u);
+  EXPECT_EQ(files[1].number, 1u);
+  EXPECT_EQ(files[2].number, 3u);
+}
+
+// Readers in ReadSections race LogAndApply: each edit replaces the one L0
+// file with the next, so every Version a reader reaches names exactly one
+// file, never older than the last one it saw. LogAndApply frees the
+// replaced Version only after a grace period; without it, a reader would
+// touch freed memory (ASan) or race the free (TSan).
+TEST_F(VersionSetTest, ReadSectionsRaceLogAndApply) {
+  ASSERT_TRUE(versions_.Recover().ok());
+  VersionEdit first;
+  first.added.emplace_back(0, MakeFile(1, 0, 100, 1));
+  ASSERT_TRUE(versions_.LogAndApply(first).ok());
+
+  constexpr uint64_t kEdits = 1000;
+  std::atomic<bool> done{false};
+  constexpr int kReaders = 4;
+  std::atomic<int> ready{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&] {
+      uint64_t last = 0;
+      do {
+        const VersionSet::ReadSection section(versions_);
+        const auto& files = section.version().LevelFiles(0);
+        ASSERT_EQ(files.size(), 1u);
+        ASSERT_GE(files[0].number, last);
+        ASSERT_EQ(files[0].smallest, EncodeKey(0));
+        if (last == 0) {
+          ready.fetch_add(1, std::memory_order_release);
+        }
+        last = files[0].number;
+      } while (!done.load(std::memory_order_acquire));
+    });
+  }
+  while (ready.load(std::memory_order_acquire) < kReaders) {
+    std::this_thread::yield();  // every reader is in its loop before the edits start
+  }
+  for (uint64_t n = 2; n <= kEdits; ++n) {
+    VersionEdit edit;
+    edit.deleted.emplace_back(0, n - 1);
+    edit.added.emplace_back(0, MakeFile(n, 0, 100, n));
+    ASSERT_TRUE(versions_.LogAndApply(edit).ok());
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& reader : readers) {
+    reader.join();
+  }
+  const VersionSet::ReadSection section(versions_);
+  ASSERT_EQ(section.version().LevelFiles(0).size(), 1u);
+  EXPECT_EQ(section.version().LevelFiles(0)[0].number, kEdits);
 }
 
 TEST_F(VersionSetTest, OverlappingFilesQuery) {
