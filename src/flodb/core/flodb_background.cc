@@ -4,12 +4,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cinttypes>
 #include <cstdio>
 #include <utility>
 
 #include "flodb/core/flodb.h"
 #include "flodb/core/memtable_iterator.h"
+#include "flodb/disk/env.h"
 
 namespace flodb {
 
@@ -444,8 +444,9 @@ Status FloDB::RecoverFromWal() {
   env->GetChildren(options_.disk.path, &children);
   std::vector<uint64_t> wal_numbers;
   for (const std::string& name : children) {
-    uint64_t number;
-    if (sscanf(name.c_str(), "wal-%" SCNu64 ".log", &number) == 1) {
+    const uint64_t number = ParseFileNumber(options_.disk.path, name,
+                                            [this](uint64_t n) { return WalFileName(n); });
+    if (number != 0) {
       wal_numbers.push_back(number);
     }
   }

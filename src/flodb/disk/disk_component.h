@@ -7,14 +7,21 @@
 // RocksDB-style multithreaded compaction is the `compaction_threads`
 // knob (§2.2).
 //
-// Every live table is open: its TableReader opens once, when the file is
-// installed (flush, compaction output, recovery), rides in the
-// FileMetaData of each Version naming it, and closes — purging its blocks
-// from the block cache — when the last such Version is freed: on the
-// flush or compaction thread that replaced it, after an RCU grace period,
-// or on the last iterator that pinned it; never on a Get. A Get reads the
-// current Version inside a VersionSet::ReadSection (no mutex, refcount
-// or allocation) and reaches its tables directly.
+// Every live table is open: its TableHandle opens once, when the file is
+// written or recovered, rides in the FileMetaData of each Version naming
+// it, and closes — purging its blocks from the block cache — when the
+// last such Version is freed: on the flush or compaction thread that
+// replaced it, after an RCU grace period, or on the last iterator that
+// pinned it; never on a Get. A Get reads the current Version inside a
+// VersionSet::ReadSection (no mutex, refcount or allocation) and reaches
+// its tables directly.
+//
+// A table's file is deleted in the same place, when its handle closes, if
+// no installed Version names it: a new output until LogAndApply installs
+// it, a compaction input once LogAndApply has replaced it. Flush and
+// compaction share one table writer, which removes its own partial file
+// on failure. The only directory sweep runs in Open, before the
+// background threads start.
 
 #ifndef FLODB_DISK_DISK_COMPONENT_H_
 #define FLODB_DISK_DISK_COMPONENT_H_
@@ -23,7 +30,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -78,9 +84,9 @@ class DiskComponent {
   // produced by `iter` as one L0 file and installs it. Blocks while L0 is
   // over the stall trigger (write backpressure, as in LevelDB/RocksDB).
   // A non-zero `log_number` is recorded in the MANIFEST with the file:
-  // the first WAL whose records the run does not hold. If the written
-  // file cannot be opened for reading, it is removed and nothing is
-  // installed.
+  // the first WAL whose records the run does not hold. If the file cannot
+  // be written, opened for reading or installed, it is removed and
+  // nothing is installed.
   Status AddRun(Iterator* iter, uint64_t log_number = 0);
 
   // Point lookup across all levels; freshest version wins. Takes no
@@ -153,25 +159,34 @@ class DiskComponent {
  private:
   explicit DiskComponent(const DiskOptions& options);
 
-  // Opens the reader for the file `meta` names, before it is installed,
-  // and sets meta->table. On failure the status names the file.
-  Status OpenTable(FileMetaData* meta) const;
+  // Opens the table `meta` names and sets meta->table, marked `deletable`
+  // (see TableHandle). On failure the status names the file.
+  Status OpenTable(FileMetaData* meta, bool deletable) const;
 
-  // Returns true, fills *job and marks both job levels busy if work is
-  // available.
+  // Writes `iter`'s entries as tables for `level`: the first (freshest)
+  // occurrence of each user key, less tombstones when `drop_tombstones`,
+  // rolling to a new table at `roll_bytes`. Each finished table is synced,
+  // opened deletable and added to `edit`. On failure the partial table is
+  // removed, and the finished ones go with the edit.
+  Status WriteTables(Iterator* iter, int level, uint64_t roll_bytes, bool drop_tombstones,
+                     VersionEdit* edit);
+
+  // Returns true, fills *job and claims it if work is available.
   bool PickCompactionLocked(CompactionJob* job) REQUIRES(mu_);
+  // Marks both job levels busy and counts the job active.
+  void ClaimLocked(const CompactionJob& job) REQUIRES(mu_);
+  // Runs a claimed job, then releases it and wakes waiters and workers.
+  Status RunJob(CompactionJob job);
   // Takes the job by value: its input metadata pins the input tables,
-  // which must close (and purge their blocks) when it returns, before the
-  // caller signals idle_cv_.
+  // which must close (purging their blocks and unlinking their files)
+  // when it returns, before RunJob signals idle_cv_.
   Status DoCompaction(CompactionJob job);
-  // Runs a manual job synchronously. Waits for every background
-  // compaction to finish, then calls `build` under the scheduling mutex
-  // against the then-current version (so the chosen inputs cannot be
-  // consumed by a racing job); `build` returning false means no work.
-  Status RunManualCompaction(const std::function<bool(const Version&, CompactionJob*)>& build,
-                             bool* did_work);
   void BackgroundWork();
-  void RemoveObsoleteFiles();
+  // Open's sweep over its directory listing `children`, against the
+  // recovered Version: removes every table it does not name and every
+  // manifest below the live one, and numbers new files past any table
+  // left.
+  void RemoveObsoleteFiles(const std::vector<std::string>& children);
 
   const DiskOptions options_;
 
@@ -181,15 +196,6 @@ class DiskComponent {
   // AFTER (declared before) the version set.
   std::unique_ptr<ShardedLruCache> block_cache_;  // null when disabled
   std::unique_ptr<VersionSet> versions_;
-
-  // Output files being written but not yet installed in a Version. File
-  // GC must skip them — without this, RemoveObsoleteFiles racing with a
-  // flush/compaction would unlink a file between its creation and its
-  // LogAndApply (the classic pending-outputs race).
-  Mutex pending_mu_;
-  std::set<uint64_t> pending_outputs_ GUARDED_BY(pending_mu_);
-
-  struct PendingOutput;
 
   mutable Mutex mu_;  // guards compaction scheduling state below
   CondVar work_cv_;   // new work available

@@ -1,5 +1,7 @@
 #include "flodb/disk/env.h"
 
+#include <charconv>
+
 namespace flodb {
 
 Status WriteStringToFile(Env* env, const Slice& data, const std::string& fname, bool sync) {
@@ -42,6 +44,17 @@ Status ReadFileToString(Env* env, const std::string& fname, std::string* data) {
     }
   }
   return s;
+}
+
+uint64_t ParseFileNumber(const std::string& dir, const std::string& name,
+                         const std::function<std::string(uint64_t)>& file_name) {
+  const size_t digits = name.find_first_of("0123456789");
+  uint64_t number = 0;
+  if (digits == std::string::npos ||
+      std::from_chars(name.data() + digits, name.data() + name.size(), number).ec != std::errc()) {
+    return 0;
+  }
+  return file_name(number) == dir + "/" + name ? number : 0;
 }
 
 }  // namespace flodb

@@ -12,6 +12,7 @@
 #define FLODB_DISK_ENV_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -69,6 +70,13 @@ Env* GetPosixEnv();
 // Convenience helpers built on the interface.
 Status WriteStringToFile(Env* env, const Slice& data, const std::string& fname, bool sync);
 Status ReadFileToString(Env* env, const std::string& fname, std::string* data);
+
+// The number in directory entry `name` if `file_name` formats it back to
+// exactly `dir + "/" + name`, else 0 (store files are numbered from 1).
+// Directory scans use it so a stray entry such as "notes.sst" or
+// "wal-7.log.old" is never taken for a store file.
+uint64_t ParseFileNumber(const std::string& dir, const std::string& name,
+                         const std::function<std::string(uint64_t)>& file_name);
 
 }  // namespace flodb
 

@@ -69,7 +69,7 @@ class LevelIterator final : public Iterator {
     if (index_ >= files_.size()) {
       return false;
     }
-    iter_ = files_[index_].table->NewIterator(fill_cache_);
+    iter_ = files_[index_].table->reader().NewIterator(fill_cache_);
     return true;
   }
 

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 
 #include "flodb/common/coding.h"
 #include "flodb/disk/crc32c.h"
+#include "flodb/disk/table_reader.h"
 
 namespace flodb {
 
@@ -18,13 +18,20 @@ std::string CurrentFileName(const std::string& dbname) { return dbname + "/CURRE
 // with a file count that can never equal it.
 constexpr uint32_t kLogNumberTag = 0x4e474f4c;  // "LOGN"
 
-std::string ManifestFileName(const std::string& dbname, uint64_t number) {
-  char buf[32];
-  snprintf(buf, sizeof(buf), "/MANIFEST-%06llu", static_cast<unsigned long long>(number));
-  return dbname + buf;
-}
-
 }  // namespace
+
+TableHandle::TableHandle(std::unique_ptr<TableReader> reader, Env* env, std::string fname,
+                         bool deletable)
+    : reader_(std::move(reader)), env_(env), fname_(std::move(fname)), deletable_(deletable) {}
+
+TableHandle::~TableHandle() {
+  if (deletable_.load()) {
+    // Close (and purge) before the unlink: no block of a removed file
+    // stays cached.
+    reader_.reset();
+    env_->RemoveFile(fname_);
+  }
+}
 
 uint64_t Version::LevelBytes(int level) const {
   uint64_t total = 0;
@@ -93,16 +100,18 @@ std::shared_ptr<const Version> VersionSet::InstallLocked(std::shared_ptr<const V
   // Before the caller's Synchronize: a ReadSection entered after the
   // grace period begins must load the new Version.
   published_.store(current_.get(), std::memory_order_seq_cst);
-  registry_.erase(std::remove_if(registry_.begin(), registry_.end(),
-                                 [](const std::weak_ptr<const Version>& w) { return w.expired(); }),
-                  registry_.end());
-  registry_.emplace_back(current_);
   return replaced;
 }
 
 std::string VersionSet::TableFileName(uint64_t number) const {
   char buf[32];
   snprintf(buf, sizeof(buf), "/%06llu.sst", static_cast<unsigned long long>(number));
+  return dbname_ + buf;
+}
+
+std::string VersionSet::ManifestFileName(uint64_t number) const {
+  char buf[32];
+  snprintf(buf, sizeof(buf), "/MANIFEST-%06llu", static_cast<unsigned long long>(number));
   return dbname_ + buf;
 }
 
@@ -127,18 +136,14 @@ Status VersionSet::Recover(const std::function<Status(FileMetaData*)>& open_tabl
   // Resume manifest numbering from CURRENT. Restarting at zero would make
   // the next snapshot reuse the number of (or a number below) the live
   // manifest — a failed write then deletes the only manifest on disk.
-  const std::string kPrefix = "MANIFEST-";
-  if (current_contents.compare(0, kPrefix.size(), kPrefix) != 0) {
-    return Status::Corruption("CURRENT does not name a manifest");
-  }
-  const uint64_t live_manifest = static_cast<uint64_t>(
-      strtoull(current_contents.c_str() + kPrefix.size(), nullptr, 10));
+  const uint64_t live_manifest = ParseFileNumber(
+      dbname_, current_contents, [this](uint64_t n) { return ManifestFileName(n); });
   if (live_manifest == 0) {
-    return Status::Corruption("CURRENT names an invalid manifest number");
+    return Status::Corruption("CURRENT does not name a manifest");
   }
   std::shared_ptr<Version> v;
   uint64_t log_number = 0;
-  s = LoadSnapshot(dbname_ + "/" + current_contents, &v, &log_number);
+  s = LoadSnapshot(ManifestFileName(live_manifest), &v, &log_number);
   if (!s.ok()) {
     return s;
   }
@@ -195,7 +200,7 @@ Status VersionSet::WriteSnapshot(const Version& v, uint64_t log_number) {
   PutFixed32(&data, crc32c::Mask(crc32c::Value(data.data(), data.size())));
 
   const uint64_t number = ++manifest_number_;
-  const std::string fname = ManifestFileName(dbname_, number);
+  const std::string fname = ManifestFileName(number);
   Status s = WriteStringToFile(env_, Slice(data), fname, /*sync=*/true);
   if (!s.ok()) {
     return s;
@@ -219,12 +224,12 @@ Status VersionSet::WriteSnapshot(const Version& v, uint64_t log_number) {
   }
   // Drop the previously live manifest. Numbers are not always
   // consecutive (a failed snapshot write burns one), so track the actual
-  // predecessor instead of assuming number - 1; open-time GC sweeps any
-  // strays a crash leaves behind.
+  // predecessor instead of assuming number - 1; the open-time sweep
+  // removes any strays a crash leaves behind.
   const uint64_t old_manifest = current_manifest_number_;
   current_manifest_number_ = number;
   if (old_manifest > 0 && old_manifest != number) {
-    env_->RemoveFile(ManifestFileName(dbname_, old_manifest));
+    env_->RemoveFile(ManifestFileName(old_manifest));
   }
   return Status::OK();
 }
@@ -326,13 +331,29 @@ Status VersionSet::LogAndApply(const VersionEdit& edit) {
     if (!s.ok()) {
       return s;
     }
+    // The MANIFEST now names `next`: a deleted table's file goes with its
+    // last reader, an added one stays. Deleted first, so a file an edit
+    // both deletes and adds stays too.
+    for (const auto& [level, number] : edit.deleted) {
+      for (const FileMetaData& f : current_->levels_[level]) {
+        if (f.number == number && f.table != nullptr) {
+          f.table->set_deletable(true);
+        }
+      }
+    }
+    for (const auto& [level, meta] : edit.added) {
+      if (meta.table != nullptr) {
+        meta.table->set_deletable(false);
+      }
+    }
     log_number_ = log_number;
     replaced = InstallLocked(std::move(next));
   }
   // A Get may still be reading the replaced Version inside its
   // ReadSection. After the grace period it is unreachable, and if this
   // is its last holder, freeing it on return closes the tables only it
-  // names here, on the flush or compaction thread, outside mu_.
+  // names, and unlinks the deleted ones, here: on the flush or compaction
+  // thread, outside mu_.
   rcu_.Synchronize();
   return Status::OK();
 }
@@ -358,23 +379,6 @@ uint64_t VersionSet::MaxPersistedSeq() const {
     }
   }
   return max_seq;
-}
-
-std::set<uint64_t> VersionSet::AllLiveFileNumbers() const {
-  MutexLock lock(mu_);
-  std::set<uint64_t> live;
-  for (const std::weak_ptr<const Version>& w : registry_) {
-    std::shared_ptr<const Version> v = w.lock();
-    if (v == nullptr) {
-      continue;
-    }
-    for (int level = 0; level < v->NumLevels(); ++level) {
-      for (const FileMetaData& f : v->LevelFiles(level)) {
-        live.insert(f.number);
-      }
-    }
-  }
-  return live;
 }
 
 }  // namespace flodb

@@ -5,7 +5,7 @@
 // sequence number, the order a Get probes them); levels >= 1 hold sorted,
 // non-overlapping runs. Flushes and compactions install fresh Versions
 // and never block readers. Each file's metadata carries its open
-// TableReader, so keeping a Version keeps every table it names open; a
+// TableHandle, so keeping a Version keeps every table it names open; a
 // table closes when the last Version naming it is freed.
 //
 // Two ways to read the current Version:
@@ -18,6 +18,13 @@
 // blocks) on the installing thread or on the last pinning iterator,
 // never on a Get.
 //
+// LogAndApply is also the one place that decides whether a table file
+// stays: once the MANIFEST names the new Version, it marks the edit's
+// added tables installed and its deleted ones deletable. A deletable
+// table's file is unlinked when its handle is freed, so an output that
+// never installs goes with its writer, and a deleted table with the last
+// Version or iterator naming it.
+//
 // Every installed Version is persisted as a full MANIFEST snapshot
 // (rewrite-on-change; simple and crash-safe at this scale) with a CURRENT
 // pointer file, giving cheap recovery.
@@ -29,7 +36,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -43,6 +49,32 @@ namespace flodb {
 
 class TableReader;
 
+// An open table and the fate of its file, shared by every copy of the
+// file's metadata. Freeing the last copy closes the reader, purging its
+// blocks, and then unlinks the file if the handle is marked deletable. A
+// new output starts marked and a recovered table unmarked; LogAndApply
+// clears the mark when it installs the file and sets it when it deletes
+// it. So closing the store leaves every installed table on disk.
+class TableHandle {
+ public:
+  TableHandle(std::unique_ptr<TableReader> reader, Env* env, std::string fname, bool deletable);
+  ~TableHandle();
+
+  TableHandle(const TableHandle&) = delete;
+  TableHandle& operator=(const TableHandle&) = delete;
+
+  const TableReader& reader() const { return *reader_; }
+  void set_deletable(bool deletable) { deletable_.store(deletable); }
+
+ private:
+  std::unique_ptr<TableReader> reader_;
+  Env* const env_;
+  const std::string fname_;
+  // Set under VersionSet::mu_ by a thread holding a copy, read by the
+  // destructor: the shared_ptr count orders the two.
+  std::atomic<bool> deletable_;
+};
+
 struct FileMetaData {
   uint64_t number = 0;
   uint64_t file_size = 0;
@@ -51,11 +83,11 @@ struct FileMetaData {
   std::string largest;   // largest user key
   uint64_t smallest_seq = 0;
   uint64_t largest_seq = 0;
-  // The open reader, set when the file is installed (flush, compaction
-  // output, recovery) and shared by every copy of this metadata. Not
-  // persisted: the MANIFEST holds only the fields above. Null only in
-  // metadata a test fabricates without a file behind it.
-  std::shared_ptr<TableReader> table;
+  // The open table, set when the file is written or recovered and shared
+  // by every copy of this metadata. Not persisted: the MANIFEST holds only
+  // the fields above. Null only in metadata a test fabricates without a
+  // file behind it.
+  std::shared_ptr<TableHandle> table;
 
   bool OverlapsRange(const Slice& begin, const Slice& end) const {
     // Empty bounds = unbounded.
@@ -120,8 +152,11 @@ class VersionSet {
 
   // Applies edit to the current version, persists the new manifest and
   // installs the result, then waits out the grace period of every
-  // ReadSection that may still see the replaced Version. Thread-safe;
-  // never call it inside a ReadSection.
+  // ReadSection that may still see the replaced Version. Only once the
+  // manifest is written does it mark the added tables installed and the
+  // deleted ones deletable; on failure nothing changes, and the added
+  // tables stay deletable. Thread-safe; never call it inside a
+  // ReadSection.
   Status LogAndApply(const VersionEdit& edit);
 
   // Pins the current Version for as long as the caller keeps it.
@@ -149,19 +184,14 @@ class VersionSet {
   // Raises the file-number counter to at least `n`. Open calls this with
   // one past the highest .sst found on disk: a crashed compaction's
   // orphan outputs are numbered above the recovered manifest's counter,
-  // and without the bump they would (a) sit behind the GC barrier
-  // forever and (b) collide with numbers handed out after reopen.
+  // and one the open-time sweep could not remove would otherwise collide
+  // with a number handed out after reopen.
   void EnsureFileNumberAtLeast(uint64_t n) {
     uint64_t cur = next_file_number_.load(std::memory_order_relaxed);
     while (cur < n &&
            !next_file_number_.compare_exchange_weak(cur, n, std::memory_order_relaxed)) {
     }
   }
-
-  // The next number NewFileNumber would hand out. File GC uses this as a
-  // barrier: a file numbered >= the barrier was born after the GC's
-  // liveness snapshot and must not be touched.
-  uint64_t PeekFileNumber() const { return next_file_number_.load(std::memory_order_acquire); }
 
   // Recovery needs to seed the sequence counter past everything on disk.
   uint64_t MaxPersistedSeq() const;
@@ -170,17 +200,13 @@ class VersionSet {
   // so recovery skips and deletes those logs. 0 when none was recorded.
   uint64_t LogNumber() const;
 
-  // File numbers referenced by ANY version still pinned by a reader
-  // (union over the live-version registry). Garbage collection must use
-  // this set: a scan holding an old Version may still open its files.
-  std::set<uint64_t> AllLiveFileNumbers() const;
-
   std::string TableFileName(uint64_t number) const;
+  std::string ManifestFileName(uint64_t number) const;
   std::string DbPath() const { return dbname_; }
 
-  // Number of the manifest CURRENT points at. File GC keeps this one and
-  // reclaims lower-numbered MANIFEST files left behind by crashed or
-  // failed snapshot writes.
+  // Number of the manifest CURRENT points at. The open-time sweep keeps
+  // this one and reclaims lower-numbered MANIFEST files left behind by
+  // crashed or failed snapshot writes.
   uint64_t CurrentManifestNumber() const;
 
  private:
@@ -194,9 +220,9 @@ class VersionSet {
   const std::string dbname_;
   const int num_levels_;
 
-  // Makes `v` current, publishes it to ReadSections and registers it for
-  // AllLiveFileNumbers. Returns the replaced Version: the caller drops it
-  // only after rcu_.Synchronize(), outside mu_.
+  // Makes `v` current and publishes it to ReadSections. Returns the
+  // replaced Version: the caller drops it only after rcu_.Synchronize(),
+  // outside mu_.
   std::shared_ptr<const Version> InstallLocked(std::shared_ptr<const Version> v) REQUIRES(mu_);
 
   // ReadSections' domain. Its own, not the store's: LogAndApply runs on
@@ -207,7 +233,6 @@ class VersionSet {
   std::shared_ptr<const Version> current_ GUARDED_BY(mu_);
   // current_.get(), for ReadSections; stored under mu_.
   std::atomic<const Version*> published_{nullptr};
-  std::vector<std::weak_ptr<const Version>> registry_ GUARDED_BY(mu_);
   uint64_t log_number_ GUARDED_BY(mu_) = 0;
   std::atomic<uint64_t> next_file_number_{1};
   // last number handed to a snapshot write

@@ -24,7 +24,7 @@ namespace {
 // Registry of live Rcu instances, keyed by unique id. A thread releasing
 // its cached slots at exit must not touch an Rcu that has already been
 // destroyed; the registry makes release conditional on liveness.
-Mutex g_registry_mu;
+Mutex g_live_mu;
 std::unordered_set<uint64_t>& LiveSet() {
   static std::unordered_set<uint64_t>* live = new std::unordered_set<uint64_t>();
   return *live;
@@ -43,7 +43,7 @@ struct Rcu::ThreadState {
   std::vector<Entry> entries;
 
   ~ThreadState() {
-    MutexLock lock(g_registry_mu);
+    MutexLock lock(g_live_mu);
     for (const Entry& e : entries) {
       if (LiveSet().count(e.id) != 0) {
         e.slot->epoch.store(0, std::memory_order_release);
@@ -54,12 +54,12 @@ struct Rcu::ThreadState {
 };
 
 Rcu::Rcu() : id_(g_next_id.fetch_add(1, std::memory_order_relaxed)) {
-  MutexLock lock(g_registry_mu);
+  MutexLock lock(g_live_mu);
   LiveSet().insert(id_);
 }
 
 Rcu::~Rcu() {
-  MutexLock lock(g_registry_mu);
+  MutexLock lock(g_live_mu);
   LiveSet().erase(id_);
 }
 
@@ -98,7 +98,7 @@ void Rcu::ReadLock() {
       // Slow path: drop the entries of destroyed domains first, or every
       // lookup above would scan one more dead entry per store this
       // thread has used.
-      MutexLock lock(g_registry_mu);
+      MutexLock lock(g_live_mu);
       std::erase_if(ts.entries, [](const ThreadState::Entry& e) {
         return LiveSet().count(e.id) == 0;
       });

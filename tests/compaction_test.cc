@@ -1,7 +1,8 @@
 // Leveled compaction: score-based picking, per-level bloom sizing, level
 // invariants under churn, bounded space-amp, the FaultInjectionEnv crash
-// matrix (torn compaction output, failed MANIFEST append, torn CURRENT
-// update, manifest numbering across reopen), and reopen equivalence.
+// matrix (torn and failed compaction output, failed MANIFEST append, torn
+// CURRENT update, manifest numbering across reopen), and reopen
+// equivalence.
 
 #include "flodb/disk/compaction.h"
 
@@ -234,6 +235,31 @@ class CompactionTest : public ::testing::Test {
     return entries;
   }
 
+  // Numbers of the .sst files in the store directory.
+  static std::set<uint64_t> TablesOnDisk(Env* env) {
+    std::vector<std::string> children;
+    EXPECT_TRUE(env->GetChildren("/db", &children).ok());
+    std::set<uint64_t> numbers;
+    for (const std::string& name : children) {
+      if (name.size() > 4 && name.substr(name.size() - 4) == ".sst") {
+        numbers.insert(static_cast<uint64_t>(strtoull(name.c_str(), nullptr, 10)));
+      }
+    }
+    return numbers;
+  }
+
+  // Numbers of the tables the current Version names.
+  std::set<uint64_t> LiveTables() {
+    std::shared_ptr<const Version> v = disk_->CurrentVersion();
+    std::set<uint64_t> numbers;
+    for (int level = 0; level < v->NumLevels(); ++level) {
+      for (const FileMetaData& f : v->LevelFiles(level)) {
+        numbers.insert(f.number);
+      }
+    }
+    return numbers;
+  }
+
   void CheckLevelInvariants() {
     std::shared_ptr<const Version> v = disk_->CurrentVersion();
     for (int level = 1; level < v->NumLevels(); ++level) {
@@ -433,28 +459,34 @@ TEST_F(CompactionTest, PowerCutMidCompactionRecoversOldVersion) {
 
   OpenDisk(options);
   EXPECT_EQ(before, DumpContents());
-  // Open-time GC: every .sst on disk is referenced by the live version.
-  std::set<uint64_t> live;
-  std::shared_ptr<const Version> v = disk_->CurrentVersion();
-  for (int level = 0; level < v->NumLevels(); ++level) {
-    for (const FileMetaData& f : v->LevelFiles(level)) {
-      live.insert(f.number);
-    }
+  // No orphan survives the open, and no live table was deleted.
+  EXPECT_EQ(TablesOnDisk(&env), LiveTables());
+}
+
+// An .sst append fails mid-compaction, after the first output is
+// finished: the compaction fails, the old version stays, and neither the
+// finished output nor the partial one stays on disk.
+TEST_F(CompactionTest, FailedOutputAppendLeavesNoPartialTable) {
+  MemEnv mem;
+  FaultInjectionEnv env(&mem);
+  OpenDisk(SmallDisk(&env));
+  for (int round = 0; round < 4; ++round) {
+    FlushRange(300 * round, 300 * (round + 1), 1 + 300 * static_cast<uint64_t>(round), "r");
   }
-  std::vector<std::string> children;
-  ASSERT_TRUE(env.GetChildren("/db", &children).ok());
-  for (const std::string& name : children) {
-    if (name.size() >= 5 && name.substr(name.size() - 4) == ".sst") {
-      const uint64_t number = static_cast<uint64_t>(strtoull(name.c_str(), nullptr, 10));
-      EXPECT_TRUE(live.count(number) != 0) << "orphan " << name << " survived open-time GC";
-    }
-  }
-  // And the converse: no live file was deleted by the sweep.
-  for (const uint64_t number : live) {
-    char buf[32];
-    snprintf(buf, sizeof(buf), "/db/%06llu.sst", static_cast<unsigned long long>(number));
-    EXPECT_TRUE(env.FileExists(buf)) << "live file " << number << " deleted";
-  }
+  const std::vector<Entry> before = DumpContents();
+  const std::set<uint64_t> live = LiveTables();
+
+  env.FailAppendAfter(12, /*torn=*/false, ".sst");
+  bool did_work = false;
+  EXPECT_FALSE(disk_->CompactOnce(&did_work).ok());
+  EXPECT_EQ(LiveTables(), live);
+  EXPECT_EQ(TablesOnDisk(&env), live);
+  EXPECT_EQ(before, DumpContents());
+
+  env.ClearFaults();
+  CompactFully();
+  EXPECT_EQ(before, DumpContents());
+  EXPECT_EQ(TablesOnDisk(&env), LiveTables());
 }
 
 TEST_F(CompactionTest, FailedManifestAppendKeepsOldVersionAndHeals) {
@@ -472,6 +504,8 @@ TEST_F(CompactionTest, FailedManifestAppendKeepsOldVersionAndHeals) {
   EXPECT_FALSE(disk_->CompactOnce(&did_work).ok());
   // The in-memory version is unchanged: reads keep working.
   EXPECT_EQ(before, DumpContents());
+  // The outputs it never installed are gone already.
+  EXPECT_EQ(TablesOnDisk(&env), LiveTables());
 
   // Fault cleared, the same job retries and succeeds.
   env.ClearFaults();

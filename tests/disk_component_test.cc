@@ -1,8 +1,9 @@
 // DiskComponent: flush (AddRun), multi-level Get, compaction correctness
 // (dedup, tombstone retirement at the bottom level), iterator views,
-// recovery from MANIFEST, file garbage collection, tables that stay open
-// from their install while the Env refuses to open files, and Gets that
-// race the compactions deleting their tables.
+// recovery from MANIFEST, table files deleted with their last handle
+// (also under churn), tables that stay open from their install while the
+// Env refuses to open files, and Gets that race the compactions deleting
+// their tables.
 
 #include "flodb/disk/disk_component.h"
 
@@ -12,6 +13,7 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -70,6 +72,31 @@ class DiskComponentTest : public ::testing::Test {
       }
     }
     return sst_files;
+  }
+
+  // Numbers of the .sst files in the store directory.
+  std::set<uint64_t> TablesOnDisk() {
+    std::vector<std::string> children;
+    EXPECT_TRUE(env_.GetChildren("/db", &children).ok());
+    std::set<uint64_t> numbers;
+    for (const std::string& name : children) {
+      if (name.size() > 4 && name.substr(name.size() - 4) == ".sst") {
+        numbers.insert(std::stoull(name));
+      }
+    }
+    return numbers;
+  }
+
+  // Numbers of the tables the current Version names.
+  std::set<uint64_t> LiveTables() {
+    std::shared_ptr<const Version> v = disk_->CurrentVersion();
+    std::set<uint64_t> numbers;
+    for (int level = 0; level < v->NumLevels(); ++level) {
+      for (const FileMetaData& f : v->LevelFiles(level)) {
+        numbers.insert(f.number);
+      }
+    }
+    return numbers;
   }
 
   MemEnv env_;
@@ -254,6 +281,11 @@ TEST_F(DiskComponentTest, IteratorPinsVersionAcrossCompaction) {
   }
   EXPECT_TRUE(iter->status().ok());
   EXPECT_EQ(count, 100);
+
+  // It held the last handle on the replaced table: closing it deletes the
+  // file, with no further compaction.
+  iter.reset();
+  EXPECT_EQ(CountSstFiles(), disk_->CurrentVersion()->NumFiles());
 }
 
 TEST_F(DiskComponentTest, MultithreadedCompactionProducesSameResults) {
@@ -273,9 +305,8 @@ TEST_F(DiskComponentTest, MultithreadedCompactionProducesSameResults) {
 }
 
 TEST_F(DiskComponentTest, FlushStormWithBackgroundCompactionLosesNothing) {
-  // Regression for the pending-outputs race: GC running inside a
-  // background compaction must never unlink a file that a concurrent
-  // flush has created but not yet installed.
+  // A background compaction must never lose or delete a file that a
+  // concurrent flush has created but not yet installed.
   DiskOptions options = SmallDisk();
   options.l0_compaction_trigger = 2;
   options.compaction_threads = 2;
@@ -354,6 +385,63 @@ TEST_F(DiskComponentTest, GetsSeeLatestValueWhileCompactionsDeleteTables) {
   disk_->WaitForCompactions();
   EXPECT_GT(gets.load(), 0u);
   EXPECT_GT(disk_->GetStats().compactions, 0u) << "no table was replaced under the readers";
+}
+
+// Two compaction threads, a flush storm, and a scanner that holds each
+// iterator while flushes and compactions replace its tables, for 2 s.
+// Every read succeeds, and once all is quiet the directory holds exactly
+// the tables the current Version names, whichever thread dropped the
+// last handle on the others.
+TEST_F(DiskComponentTest, TableFilesFollowTheirLastHandleUnderChurn) {
+  DiskOptions options = SmallDisk();
+  options.l0_compaction_trigger = 2;
+  options.compaction_threads = 2;
+  OpenDisk(options);
+  constexpr uint64_t kKeys = 400;
+  FlushRange(0, kKeys, 1, "r0_");
+
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> scans{0};
+  std::atomic<uint64_t> gets{0};
+  std::thread scanner([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      std::unique_ptr<Iterator> iter = disk_->NewIterator();
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      uint64_t keys = 0;
+      std::string last;
+      for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
+        if (keys == 0 || iter->key() != Slice(last)) {
+          last = iter->key().ToString();
+          ++keys;
+        }
+      }
+      ASSERT_TRUE(iter->status().ok()) << iter->status().ToString();
+      ASSERT_EQ(keys, kKeys);
+      scans.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  std::thread reader([&] {
+    std::string value;
+    for (uint64_t i = 0; !done.load(std::memory_order_acquire); i += 7) {
+      const Status s = disk_->Get(Slice(EncodeKey(i % kKeys)), &value, nullptr, nullptr);
+      ASSERT_TRUE(s.ok()) << s.ToString();
+      gets.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  for (uint64_t round = 1; std::chrono::steady_clock::now() < deadline; ++round) {
+    FlushRange(0, kKeys, round * kKeys + 1, "r" + std::to_string(round) + "_");
+  }
+  done.store(true, std::memory_order_release);
+  scanner.join();
+  reader.join();
+  disk_->WaitForCompactions();
+
+  EXPECT_GT(scans.load(), 0u);
+  EXPECT_GT(gets.load(), 0u);
+  EXPECT_GT(disk_->GetStats().compactions, 0u);
+  EXPECT_EQ(TablesOnDisk(), LiveTables());
 }
 
 TEST_F(DiskComponentTest, EmptyRunIsNoop) {

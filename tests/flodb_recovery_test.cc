@@ -1,5 +1,6 @@
-// Crash recovery: WAL replay, manifest recovery, WAL rotation GC, and
-// reopening after clean shutdowns.
+// Crash recovery: WAL replay, manifest recovery, WAL rotation GC,
+// reopening after clean shutdowns, and stray files that only look like
+// store files.
 
 #include <gtest/gtest.h>
 
@@ -150,6 +151,34 @@ TEST(FloDBRecoveryTest, MissingLiveTableFailsOpen) {
   const Status s = FloDB::Open(options, &db);
   EXPECT_FALSE(s.ok());
   EXPECT_NE(s.ToString().find(victim), std::string::npos) << s.ToString();
+}
+
+// Open names a store file only by the exact name it would give it, so it
+// neither deletes nor replays a stray file that merely looks like one.
+TEST(FloDBRecoveryTest, StrayFilesAreLeftAlone) {
+  MemEnv env;
+  FloDbOptions options = WalOptions(&env);
+  {
+    std::unique_ptr<FloDB> db;
+    ASSERT_TRUE(FloDB::Open(options, &db).ok());
+    ASSERT_TRUE(db->Put(Slice(K(1)), Slice("v1")).ok());
+    ASSERT_TRUE(db->FlushAll().ok());
+  }
+  const std::vector<std::string> strays = {"/db/notes.sst", "/db/MANIFEST-000001.bak",
+                                           "/db/wal-7.log.old"};
+  for (const std::string& stray : strays) {
+    ASSERT_TRUE(WriteStringToFile(&env, Slice("not a store file"), stray, true).ok());
+  }
+
+  std::unique_ptr<FloDB> db;
+  const Status s = FloDB::Open(options, &db);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  std::string value;
+  ASSERT_TRUE(db->Get(Slice(K(1)), &value).ok());
+  EXPECT_EQ(value, "v1");
+  for (const std::string& stray : strays) {
+    EXPECT_TRUE(env.FileExists(stray)) << stray;
+  }
 }
 
 TEST(FloDBRecoveryTest, SequenceCounterSeededPastPersistedData) {

@@ -13,6 +13,8 @@
 #include "flodb/core/flodb.h"
 #include "flodb/disk/crc32c.h"
 #include "flodb/disk/mem_env.h"
+#include "flodb/disk/table_builder.h"
+#include "flodb/disk/table_reader.h"
 
 namespace flodb {
 namespace {
@@ -50,6 +52,26 @@ TEST(FileMetaDataTest, OverlapChecks) {
 class VersionSetTest : public ::testing::Test {
  protected:
   VersionSetTest() : versions_(&env_, "/db", 7) {}
+
+  // Writes file `number` as a one-entry table and returns its metadata
+  // with an open handle, deletable as a new output's is.
+  FileMetaData WriteTable(uint64_t number) {
+    FileMetaData f = MakeFile(number, 0, 0);
+    const std::string fname = versions_.TableFileName(number);
+    std::unique_ptr<WritableFile> out;
+    EXPECT_TRUE(env_.NewWritableFile(fname, &out).ok());
+    TableBuilder builder(TableBuilder::Options(), out.get());
+    builder.Add(Slice(f.smallest), 1, ValueType::kValue, Slice("v"));
+    EXPECT_TRUE(builder.Finish().ok());
+    EXPECT_TRUE(out->Close().ok());
+    f.file_size = builder.FileSize();
+    std::unique_ptr<RandomAccessFile> in;
+    EXPECT_TRUE(env_.NewRandomAccessFile(fname, &in).ok());
+    std::unique_ptr<TableReader> reader;
+    EXPECT_TRUE(TableReader::Open(std::move(in), f.file_size, TableReader::Options(), &reader).ok());
+    f.table = std::make_shared<TableHandle>(std::move(reader), &env_, fname, /*deletable=*/true);
+    return f;
+  }
 
   MemEnv env_;
   VersionSet versions_;
@@ -93,15 +115,33 @@ TEST_F(VersionSetTest, OldVersionsRemainValid) {
   edit2.deleted.emplace_back(0, 1);
   ASSERT_TRUE(versions_.LogAndApply(edit2).ok());
 
-  EXPECT_EQ(pinned->LevelFiles(0).size(), 1u) << "pinned version must be immutable";
-  EXPECT_EQ(versions_.Current()->LevelFiles(0).size(), 0u);
-
-  // GC must still see file 1 as live while pinned...
-  EXPECT_EQ(versions_.AllLiveFileNumbers().count(1), 1u);
-  // ...though the current Version no longer names it.
+  ASSERT_EQ(pinned->LevelFiles(0).size(), 1u) << "pinned version must be immutable";
+  EXPECT_EQ(pinned->LevelFiles(0)[0].number, 1u);
   EXPECT_TRUE(versions_.Current()->LevelFiles(0).empty());
+}
+
+// LogAndApply decides whether a table's file stays, and the table's last
+// handle carries the decision out: an output never installed goes with
+// its writer, and a deleted table with the last Version pinning it.
+TEST_F(VersionSetTest, TableFileGoesWithItsLastHandleUnlessInstalled) {
+  ASSERT_TRUE(versions_.Recover().ok());
+  WriteTable(1);  // dropped at once, never installed
+  EXPECT_FALSE(env_.FileExists(versions_.TableFileName(1)));
+
+  {
+    VersionEdit edit;
+    edit.added.emplace_back(0, WriteTable(2));
+    ASSERT_TRUE(versions_.LogAndApply(edit).ok());
+  }
+  EXPECT_TRUE(env_.FileExists(versions_.TableFileName(2))) << "installed";
+
+  auto pinned = versions_.Current();
+  VersionEdit edit;
+  edit.deleted.emplace_back(0, 2);
+  ASSERT_TRUE(versions_.LogAndApply(edit).ok());
+  EXPECT_TRUE(env_.FileExists(versions_.TableFileName(2))) << "a pinned Version still names it";
   pinned.reset();
-  EXPECT_EQ(versions_.AllLiveFileNumbers().count(1), 0u);
+  EXPECT_FALSE(env_.FileExists(versions_.TableFileName(2)));
 }
 
 TEST_F(VersionSetTest, PersistAndRecover) {
@@ -310,7 +350,7 @@ TEST_F(VersionSetTest, ManifestWithoutLogNumberReadsZero) {
 
   ASSERT_TRUE(versions_.Recover().ok());
   EXPECT_EQ(versions_.LogNumber(), 0u);
-  EXPECT_EQ(versions_.PeekFileNumber(), 9u);
+  EXPECT_EQ(versions_.NewFileNumber(), 9u);
 }
 
 // The MANIFEST snapshot a default store writes after one flush, pinned so
